@@ -137,17 +137,6 @@ def proposals_for_image(dets, layout, cfg: RunConfig, image_id: str):
     )
 
 
-def labeled_proposals_for_split(annotations, images, detectors, layout, cfg: RunConfig):
-    by_image: dict[str, list[props.LabeledProposal]] = {}
-    for a in annotations:
-        dets = weakdet.detect_segments(
-            images[a.path], detectors, cfg.weak.scales(), cfg.weak.stride, cfg.weak.nms_iou
-        )
-        plist = proposals_for_image(dets, layout, cfg, a.path)
-        by_image[a.path] = props.label_proposals(plist, a.face)
-    return by_image
-
-
 # --- faces (final detection) format -------------------------------------------
 
 
@@ -314,10 +303,12 @@ def cmd_train_deepsegface(cfg: RunConfig, args, base: Path) -> int:
 
 
 def _detect_with_model(cfg, args, annotations, images, detectors, model, layout):
-    """Full chain per image: segments -> proposals -> argmax scoring."""
+    """Full chain per image: segments -> proposals -> argmax scoring.
+
+    The patch/HoG cache is keyed by image, so each image gets a fresh one.
+    """
     rows = []
     by_image = {}
-    cache: dict = {}
     for a in annotations:
         dets = weakdet.detect_segments(
             images[a.path], detectors, cfg.weak.scales(), cfg.weak.stride, cfg.weak.nms_iou
@@ -327,6 +318,7 @@ def _detect_with_model(cfg, args, annotations, images, detectors, model, layout)
         if not plist:
             rows.append((a.path, None))
             continue
+        cache: dict = {}
         if args.model == "segface":
             scores = [
                 segface.score_proposal_segface(p, model, images[a.path], cache) for p in plist

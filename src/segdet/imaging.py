@@ -112,11 +112,6 @@ class IntegralImage:
     data: np.ndarray
 
 
-def gray_from_array(arr: np.ndarray) -> GrayImageF:
-    a = np.asarray(arr, dtype=np.float64)
-    return GrayImageF(a.shape[1], a.shape[0], a)
-
-
 def _read_token(buf: bytes, pos: int, path) -> tuple[bytes, int]:
     # skip whitespace and '#' comments between header tokens
     n = len(buf)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ParseError
 from .imaging import BoxI, Image, save_image
 
 
@@ -248,11 +249,22 @@ def save_annotations(annotations: list[Annotation], path) -> None:
 def load_annotations(path) -> list[Annotation]:
     annotations = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            p, x, y, w, h = line.split(",")
-            face = BoxI(int(x), int(y), int(w), int(h)) if x else None
+            fields = line.split(",")
+            if len(fields) != 5:
+                raise ParseError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
+            p, *box = fields
+            face = None
+            if any(box):
+                try:
+                    face = BoxI(*(int(v) for v in box))
+                except ValueError:
+                    raise ParseError(
+                        f"{path}:{lineno}: face box must be four integers with "
+                        f"nonnegative extents, got {box}"
+                    ) from None
             annotations.append(Annotation(p, face))
     return annotations

@@ -113,22 +113,6 @@ def _feature_values_on_patches(feature: HaarFeature, ii_stack: np.ndarray, area:
     return v / area
 
 
-def _feature_values_on_grid(
-    feature: HaarFeature, ii: np.ndarray, xs: np.ndarray, ys: np.ndarray, area: float
-) -> np.ndarray:
-    """Feature value at every window position (ys x xs grid) of one image."""
-    v = np.zeros((len(ys), len(xs)), dtype=np.float64)
-    for wgt, x, y, w, h in feature.rects():
-        y0 = ys + y
-        y1 = ys + y + h
-        x0 = xs + x
-        x1 = xs + x + w
-        v += wgt * (
-            ii[np.ix_(y1, x1)] - ii[np.ix_(y0, x1)] - ii[np.ix_(y1, x0)] + ii[np.ix_(y0, x0)]
-        )
-    return v / area
-
-
 def _sample_features(rng: np.random.Generator, win_w: int, win_h: int, pool_size: int) -> list[HaarFeature]:
     """Deterministic pseudo-random feature pool for one window geometry."""
     seen = set()
@@ -269,6 +253,40 @@ def _nms(dets: list[SegmentDetection], iou_max: float) -> list[SegmentDetection]
     return kept
 
 
+def _scan_scores(det: BoostedDetector, ii: np.ndarray, nx: int, ny: int, stride: int) -> np.ndarray:
+    """Raw boosted score of every window on an ny x nx grid with step `stride`.
+
+    Each corner lookup is a basic strided slice of the integral image (a view,
+    no copy); the arithmetic runs in three grid-sized buffers with `out=`.
+    """
+    ext_x = stride * (nx - 1) + 1
+    ext_y = stride * (ny - 1) + 1
+
+    def corner(x: int, y: int) -> np.ndarray:
+        return ii[y : y + ext_y : stride, x : x + ext_x : stride]
+
+    area = float(det.window_w * det.window_h)
+    scores = np.zeros((ny, nx), dtype=np.float64)
+    value = np.empty_like(scores)
+    term = np.empty_like(scores)
+    fires = np.empty((ny, nx), dtype=bool)
+    for st in det.stumps:
+        for i, (wgt, x, y, w, h) in enumerate(st.feature.rects()):
+            t = term if i else value
+            np.subtract(corner(x + w, y + h), corner(x + w, y), out=t)
+            t -= corner(x, y + h)
+            t += corner(x, y)
+            if wgt != 1:
+                t *= wgt
+            if i:
+                value += term
+        value /= area
+        compare = np.less if st.polarity == 1 else np.greater
+        compare(value, st.threshold, out=fires)
+        np.add(scores, st.alpha, out=scores, where=fires)
+    return scores
+
+
 def detect_segments(
     img: GrayImageF,
     detectors: list[BoostedDetector],
@@ -282,6 +300,17 @@ def detect_segments(
     the original image. Windows scoring at least the detector's acceptance
     threshold are emitted with score = raw - threshold, then same-kind
     detections are pruned by non-maximum suppression.
+
+    Float-order contract: every window's raw score is the one
+    `_feature_values_on_patches` and stump-order alpha sums give for that
+    window's patch. Per rect ((ii[y1,x1] - ii[y0,x1]) - ii[y1,x0]) + ii[y0,x0],
+    times the rect's weight; rects summed in order from 0; divided by the
+    window area; a stump fires iff polarity*value < polarity*threshold; alphas
+    added in stump order. A reordered sum (say over corner coefficients, or a
+    tensordot over stumps) moves values by an ulp, which flips stumps whose
+    threshold sits at a training value and moves scores by whole alphas. The
+    scan skips only exact identities: the leading 0 + and a weight of 1, and
+    it tests polarity -1 as value > threshold.
     """
     if not scales:
         raise ValueError("scale ladder must be nonempty")
@@ -299,18 +328,14 @@ def detect_segments(
         for det in detectors:
             if out_w < det.window_w or out_h < det.window_h:
                 continue
-            xs = np.arange(0, out_w - det.window_w + 1, stride)
-            ys = np.arange(0, out_h - det.window_h + 1, stride)
-            area = float(det.window_w * det.window_h)
-            scores = np.zeros((len(ys), len(xs)), dtype=np.float64)
-            for st in det.stumps:
-                v = _feature_values_on_grid(st.feature, ii, xs, ys, area)
-                scores += st.alpha * (st.polarity * v < st.polarity * st.threshold)
+            nx = (out_w - det.window_w) // stride + 1
+            ny = (out_h - det.window_h) // stride + 1
+            scores = _scan_scores(det, ii, nx, ny, stride)
             iy, ix = np.nonzero(scores >= det.accept_threshold)
             for yi, xi in zip(iy.tolist(), ix.tolist()):
                 box = BoxI(
-                    int(round(xs[xi] * sx)),
-                    int(round(ys[yi] * sy)),
+                    int(round(xi * stride * sx)),
+                    int(round(yi * stride * sy)),
                     max(1, int(round(det.window_w * sx))),
                     max(1, int(round(det.window_h * sy))),
                 )
@@ -394,26 +419,74 @@ def save_detectors(detectors: list[BoostedDetector], path) -> None:
     store.write_sections(path, WEAK_MAGIC, sections)
 
 
+# width and height unit of each Haar kind: its sub-rects split the rect evenly
+_HAAR_UNITS = {HAAR_TWO_H: (2, 1), HAAR_TWO_V: (1, 2), HAAR_THREE_H: (3, 1)}
+
+
+def _values(entries: dict[str, str], key: str, types: tuple, where: str) -> list:
+    """The space-separated fields of one key, parsed by `types`; floats must be finite."""
+    if key not in entries:
+        raise ParseError(f"{where}: missing key '{key}'")
+    fields = entries[key].split()
+    if len(fields) != len(types):
+        raise ParseError(f"{where}: {key}: expected {len(types)} fields, got {len(fields)}")
+    values = []
+    for text, typ in zip(fields, types):
+        try:
+            value = typ(text)
+        except ValueError:
+            raise ParseError(f"{where}: {key}: cannot parse {text!r} as {typ.__name__}") from None
+        if typ is float and not np.isfinite(value):
+            raise ParseError(f"{where}: {key}: {text!r} is not finite")
+        values.append(value)
+    return values
+
+
+def _stump(entries: dict[str, str], key: str, win_w: int, win_h: int, where: str) -> Stump:
+    kname, x, y, w, h, thr, pol, alpha = _values(
+        entries, key, (str, int, int, int, int, float, int, float), where
+    )
+    if kname not in _HAAR_UNITS:
+        raise ParseError(f"{where}: {key}: unknown Haar kind {kname!r}")
+    if w <= 0 or h <= 0 or x < 0 or y < 0 or x + w > win_w or y + h > win_h:
+        raise ParseError(
+            f"{where}: {key}: rect {x} {y} {w} {h} is not inside the {win_w}x{win_h} window"
+        )
+    unit_w, unit_h = _HAAR_UNITS[kname]
+    if w % unit_w or h % unit_h:
+        raise ParseError(
+            f"{where}: {key}: {kname} rect {w}x{h} is not divisible by {unit_w}x{unit_h}"
+        )
+    if pol not in (1, -1):
+        raise ParseError(f"{where}: {key}: polarity must be 1 or -1, got {pol}")
+    return Stump(HaarFeature(kname, BoxI(x, y, w, h)), thr, pol, alpha)
+
+
 def load_detectors(path) -> list[BoostedDetector]:
+    """Read a weak-model file, rejecting any stump the scan cannot evaluate.
+
+    The scan reads corners without bounds checks, so every rect must lie
+    inside its window and split evenly by its Haar kind; any other defect
+    raises ParseError naming the path, section and key.
+    """
     if not Path(path).is_file():
         raise FileNotFoundError(f"no such model file: {path}")
     detectors = []
     for name, entries in store.read_sections(path, WEAK_MAGIC):
         if not name.startswith("detector kind="):
             raise ParseError(f"{path}: unexpected section [{name}]")
-        kind = kind_from_name(name.split("=", 1)[1])
-        win_w, win_h = (int(v) for v in entries["window"].split())
-        det = BoostedDetector(kind, win_w, win_h)
-        det.accept_threshold = float(entries["accept_threshold"])
-        for i in range(int(entries["stump_count"])):
-            kname, x, y, w, h, thr, pol, alpha = entries[f"stump{i}"].split()
-            det.stumps.append(
-                Stump(
-                    HaarFeature(kname, BoxI(int(x), int(y), int(w), int(h))),
-                    float(thr),
-                    int(pol),
-                    float(alpha),
-                )
-            )
-        detectors.append(det)
+        where = f"{path}: [{name}]"
+        try:
+            kind = kind_from_name(name.split("=", 1)[1])
+        except KeyError:
+            raise UnknownSegmentKindError(f"{where}: unknown segment kind") from None
+        win_w, win_h = _values(entries, "window", (int, int), where)
+        if win_w <= 0 or win_h <= 0:
+            raise ParseError(f"{where}: window: extents must be positive, got {win_w} {win_h}")
+        (accept,) = _values(entries, "accept_threshold", (float,), where)
+        (count,) = _values(entries, "stump_count", (int,), where)
+        if count < 0:
+            raise ParseError(f"{where}: stump_count: must be nonnegative, got {count}")
+        stumps = [_stump(entries, f"stump{i}", win_w, win_h, where) for i in range(count)]
+        detectors.append(BoostedDetector(kind, win_w, win_h, stumps, accept))
     return detectors

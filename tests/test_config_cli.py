@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,9 @@ from segdet.config import RunConfig, parse_config, validate_config, write_config
 from segdet.errors import ConfigError
 from segdet.imaging import BoxI
 from segdet.segments import SegmentKind
+from segdet.synth import Annotation
+
+from conftest import mk_proposal
 
 
 class TestConfig:
@@ -89,6 +94,19 @@ class TestCliExitCodes:
         assert cli.main(["synth", "--config", str(p)]) == 0
         assert cli.main(["detect-segments", "--config", str(p), "--split", "train"]) == 3
 
+    @pytest.mark.parametrize(
+        "line", ["images/a.pgm,1,2,30", "images/a.pgm,1,2,30,40,5", "images/a.pgm,1,2,x,40"]
+    )
+    def test_malformed_annotations_exit_code(self, tmp_path, capsys, line):
+        p = tmp_path / "run.cfg"
+        p.write_text("seed = 1\n")
+        ann = tmp_path / "data/test/annotations.csv"
+        ann.parent.mkdir(parents=True)
+        ann.write_text(f"images/b.pgm,,,,\n{line}\n")
+        assert cli.main(["eval", "--config", str(p)]) == 4
+        err = capsys.readouterr().err
+        assert f"{ann}:2" in err and "Traceback" not in err
+
     def test_seed_flag_overrides_config(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("seed = 1\nsynth.train_count = 3\nsynth.test_count = 2\n")
@@ -120,3 +138,34 @@ def test_interior_face_detection():
     assert cli._interior_face(b, 160, 120)
     c = type("A", (), {"face": None})
     assert not cli._interior_face(c, 160, 120)
+
+
+@pytest.mark.parametrize("model", ["segface", "deepsegface"])
+def test_detect_cache_entries_do_not_outlive_their_image(monkeypatch, model):
+    """Cache keys carry the image id, so no entry may be seen by a later image."""
+    seen = []
+
+    def score(p, cache):
+        seen.append((p.source_image, set(cache)))
+        cache[(p.source_image, "patch")] = 0.0
+        return 0.5
+
+    monkeypatch.setattr(cli.weakdet, "detect_segments", lambda *a, **k: [])
+    monkeypatch.setattr(
+        cli,
+        "proposals_for_image",
+        lambda dets, layout, cfg, image_id: [mk_proposal([0, 1, 2], image_id=image_id)],
+    )
+    monkeypatch.setattr(
+        cli.segface, "score_proposal_segface", lambda p, model, image, cache: score(p, cache)
+    )
+    monkeypatch.setattr(
+        cli.dsf, "detect", lambda model, image, plist, cache: (plist[0].box, score(plist[0], cache))
+    )
+    annotations = [Annotation(f"img_{i}", None) for i in range(3)]
+    images = {a.path: None for a in annotations}
+    args = SimpleNamespace(model=model)
+    rows, _ = cli._detect_with_model(RunConfig(), args, annotations, images, [], None, None)
+    assert [r[0] for r in rows] == ["img_0", "img_1", "img_2"]
+    assert [image for image, _ in seen] == ["img_0", "img_1", "img_2"]
+    assert all(key[0] == image for image, keys in seen for key in keys)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from segdet.errors import ParseError
 from segdet.imaging import BoxI, load_image, to_gray
 from segdet.synth import (
     Annotation,
@@ -103,3 +104,19 @@ def test_annotation_round_trip(tmp_path):
     save_annotations(anns, p)
     assert load_annotations(p) == anns
     assert p.read_text() == "images/a.pgm,1,2,30,40\nimages/b.pgm,,,,\n"
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "images/a.pgm,1,2,30",
+        "images/a.pgm,1,2,30,40,7",
+        "images/a.pgm,1,2,3.5,40",
+        "images/a.pgm,,2,30,40",
+    ],
+)
+def test_malformed_annotation_names_line(tmp_path, line):
+    p = tmp_path / "annotations.csv"
+    p.write_text(f"images/b.pgm,,,,\n\n{line}\n")
+    with pytest.raises(ParseError, match="annotations.csv:3"):
+        load_annotations(p)

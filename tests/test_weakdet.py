@@ -3,11 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from segdet import cli
 from segdet.errors import DegenerateDataError, NoUsefulFeatureError, ParseError, UnknownSegmentKindError
 from segdet.evaluate import iou
-from segdet.imaging import BoxI
+from segdet.imaging import BoxI, integral, resize_bilinear
 from segdet.segments import SegmentDetection, SegmentKind
 from segdet.weakdet import (
+    HAAR_THREE_H,
+    HAAR_TWO_H,
+    HAAR_TWO_V,
+    BoostedDetector,
+    HaarFeature,
+    Stump,
+    _HAAR_UNITS,
+    _feature_values_on_patches,
     detect_segments,
     export_detections,
     import_detections,
@@ -134,6 +143,167 @@ class TestDetectSegments:
             detect_segments(gray(np.zeros((30, 30))), [det], [])
         with pytest.raises(ValueError):
             detect_segments(gray(np.zeros((30, 30))), [det], [1.5, 1.2])
+
+
+def _exactness_detector(kind, win_w, win_h, rng):
+    """Stumps of every Haar kind, rects touching each window edge, alphas with
+    no exact binary sum; thresholds are filled in from the oracle later."""
+    feats = [
+        HaarFeature(HAAR_TWO_H, BoxI(0, 0, win_w - win_w % 2, win_h)),
+        HaarFeature(HAAR_TWO_V, BoxI(0, 0, win_w, win_h - win_h % 2)),
+        HaarFeature(HAAR_THREE_H, BoxI(win_w % 3, win_h - 3, win_w - win_w % 3, 3)),
+        HaarFeature(HAAR_TWO_H, BoxI(win_w - 2, win_h - 2, 2, 2)),
+        HaarFeature(HAAR_TWO_V, BoxI(win_w - 1, 1, 1, 4)),
+    ]
+    for _ in range(19):
+        fkind = (HAAR_TWO_H, HAAR_TWO_V, HAAR_THREE_H)[int(rng.integers(0, 3))]
+        uw, uh = _HAAR_UNITS[fkind]
+        w = uw * int(rng.integers(1, win_w // uw + 1))
+        h = uh * int(rng.integers(1, win_h // uh + 1))
+        x = int(rng.integers(0, win_w - w + 1))
+        y = int(rng.integers(0, win_h - h + 1))
+        feats.append(HaarFeature(fkind, BoxI(x, y, w, h)))
+    stumps = [Stump(f, 0.0, int(rng.choice([-1, 1])), float(rng.uniform(0.1, 1.0))) for f in feats]
+    return BoostedDetector(kind, win_w, win_h, stumps, accept_threshold=0.0)
+
+
+def _window_stack(det, ii, stride):
+    """Every window origin on the scan grid, and its patch slice of `ii`."""
+    origins = [
+        (x, y)
+        for y in range(0, ii.shape[0] - det.window_h, stride)
+        for x in range(0, ii.shape[1] - det.window_w, stride)
+    ]
+    stack = np.stack([ii[y : y + det.window_h + 1, x : x + det.window_w + 1] for x, y in origins])
+    return origins, stack
+
+
+def _oracle_scores(det, origins, stack):
+    """Raw score per window origin: per-patch feature values, alphas in stump order."""
+    area = float(det.window_w * det.window_h)
+    raw = np.zeros(len(origins))
+    for st in det.stumps:
+        v = _feature_values_on_patches(st.feature, stack, area)
+        raw += st.alpha * (st.polarity * v < st.polarity * st.threshold)
+    return dict(zip(origins, raw.tolist()))
+
+
+class TestScanExactness:
+    """The scan's raw scores equal the per-patch reference bit for bit."""
+
+    @pytest.mark.parametrize("stride", [1, 2, 3, 4, 5])
+    def test_scores_equal_patch_oracle(self, stride):
+        rng = np.random.default_rng(100 + stride)
+        dets = [
+            _exactness_detector(SegmentKind.EYE, 9, 7, rng),
+            _exactness_detector(SegmentKind.NOSE, 6, 10, rng),
+        ]
+        sizes = [
+            (9 + 4 * stride, 7 + 2 * stride),  # last window touches right and bottom
+            (9 + 4 * stride + stride // 2, 11 + 2 * stride),
+            (9, 7),  # the EYE window equals the image
+            (31, 23),
+        ]
+        for width, height in sizes:
+            img = gray(rng.uniform(0.0, 1.0, (height, width)))
+            ii = integral(resize_bilinear(img, width, height)).data
+            for det in dets:
+                if width < det.window_w or height < det.window_h:
+                    continue
+                # thresholds at exact feature values, so an ulp of drift flips a stump
+                origins, stack = _window_stack(det, ii, stride)
+                area = float(det.window_w * det.window_h)
+                for i, st in enumerate(det.stumps):
+                    at = int(rng.integers(0, len(stack)))
+                    thr = float(_feature_values_on_patches(st.feature, stack[at : at + 1], area)[0])
+                    det.stumps[i] = Stump(st.feature, thr, st.polarity, st.alpha)
+                want = _oracle_scores(det, origins, stack)
+                hits = detect_segments(img, [det], [1.0], stride=stride, nms_iou=1.0)
+                got = {(h.box.x, h.box.y): h.score for h in hits}
+                assert all(h.box.w == det.window_w and h.box.h == det.window_h for h in hits)
+                assert got.keys() == want.keys()
+                assert all(got[o] == want[o] for o in want), (width, height, det.kind)
+                if (width, height) == (det.window_w, det.window_h):
+                    assert list(got) == [(0, 0)]
+
+
+def _write_weak_model(tmp_path):
+    det = BoostedDetector(
+        SegmentKind.EYE,
+        12,
+        8,
+        [
+            Stump(HaarFeature(HAAR_TWO_H, BoxI(0, 0, 12, 8)), 0.25, 1, 0.5),
+            Stump(HaarFeature(HAAR_THREE_H, BoxI(3, 2, 9, 6)), -0.125, -1, 0.75),
+        ],
+        accept_threshold=0.625,
+    )
+    models = tmp_path / "models"
+    models.mkdir(exist_ok=True)
+    save_detectors([det], models / "weakdet.txt")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 1\n")
+    return cfg, models / "weakdet.txt"
+
+
+_BAD_WEAK_LINES = {
+    "missing window": ("window = 12 8", None),
+    "missing accept_threshold": ("accept_threshold = 0.625", None),
+    "missing stump_count": ("stump_count = 2", None),
+    "missing stump1": ("stump1 = ", None),
+    "window field count": ("window = 12 8", "window = 12 8 1"),
+    "stump field count": ("stump0 = ", "stump0 = two-rect-horizontal 0 0 12 8 0.25 1"),
+    "unknown haar kind": ("stump0 = ", "stump0 = four-rect 0 0 12 8 0.25 1 0.5"),
+    "zero window": ("window = 12 8", "window = 0 8"),
+    "negative window": ("window = 12 8", "window = 12 -8"),
+    "rect past right edge": ("stump0 = ", "stump0 = two-rect-horizontal 2 0 12 8 0.25 1 0.5"),
+    "rect past bottom edge": ("stump0 = ", "stump0 = two-rect-horizontal 0 1 12 8 0.25 1 0.5"),
+    "rect negative origin": ("stump0 = ", "stump0 = two-rect-horizontal -2 0 12 8 0.25 1 0.5"),
+    "rect empty": ("stump0 = ", "stump0 = two-rect-horizontal 0 0 0 8 0.25 1 0.5"),
+    "rect not divisible": ("stump1 = ", "stump1 = three-rect-horizontal 3 2 8 6 -0.125 -1 0.75"),
+    "vertical not divisible": ("stump0 = ", "stump0 = two-rect-vertical 0 0 12 7 0.25 1 0.5"),
+    "non-integer rect": ("stump0 = ", "stump0 = two-rect-horizontal 0.5 0 12 8 0.25 1 0.5"),
+    "nan threshold": ("stump0 = ", "stump0 = two-rect-horizontal 0 0 12 8 nan 1 0.5"),
+    "infinite alpha": ("stump0 = ", "stump0 = two-rect-horizontal 0 0 12 8 0.25 1 inf"),
+    "infinite accept_threshold": ("accept_threshold = 0.625", "accept_threshold = -inf"),
+    "zero polarity": ("stump0 = ", "stump0 = two-rect-horizontal 0 0 12 8 0.25 0 0.5"),
+    "polarity two": ("stump0 = ", "stump0 = two-rect-horizontal 0 0 12 8 0.25 2 0.5"),
+    "negative stump_count": ("stump_count = 2", "stump_count = -1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_WEAK_LINES))
+def test_malformed_weak_model_exits_4(tmp_path, capsys, case):
+    cfg, model = _write_weak_model(tmp_path)
+    prefix, replacement = _BAD_WEAK_LINES[case]
+    lines = model.read_text().splitlines()
+    (at,) = [i for i, line in enumerate(lines) if line.startswith(prefix)]
+    key = lines[at].split(" = ")[0]
+    if replacement is None:
+        del lines[at]
+    else:
+        lines[at] = replacement
+    model.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=key):
+        load_detectors(model)
+    assert cli.main(["detect-segments", "--config", str(cfg), "--split", "train"]) == 4
+    err = capsys.readouterr().err
+    assert str(model) in err and key in err and "Traceback" not in err
+
+
+def test_unknown_segment_kind_section_exits_4(tmp_path):
+    cfg, model = _write_weak_model(tmp_path)
+    model.write_text(model.read_text().replace("kind=Eye", "kind=Ear"))
+    with pytest.raises(UnknownSegmentKindError, match="Ear"):
+        load_detectors(model)
+    assert cli.main(["detect-segments", "--config", str(cfg), "--split", "train"]) == 4
+
+
+def test_valid_hand_written_model_loads(tmp_path):
+    _, model = _write_weak_model(tmp_path)
+    (det,) = load_detectors(model)
+    assert det.window_w == 12 and det.window_h == 8 and len(det.stumps) == 2
+    assert det.stumps[1].feature.kind == HAAR_THREE_H and det.stumps[1].polarity == -1
 
 
 class TestInterchange:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import deepsegface as dsf
-from . import evaluate, proposals as props, segface, synth, weakdet
+from . import evaluate, proposals as props, segface, store, synth, weakdet
 from .config import RunConfig, parse_config, validate_config
 from .errors import ConfigError, MissingInputError, SegdetError
 from .imaging import BoxI, GrayImageF, load_image, resize_bilinear, to_gray
@@ -148,19 +148,19 @@ def save_faces(rows: list[tuple[str, tuple[BoxI, float] | None]], path) -> None:
         else:
             box, score = det
             lines.append(f"{image_id},{box.x},{box.y},{box.w},{box.h},{score!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    store.write_lines(path, lines)
 
 
 def load_faces(path) -> dict[str, tuple[BoxI, float] | None]:
+    """Faces file rows by image id; empty box and score fields mean no detection."""
     out: dict[str, tuple[BoxI, float] | None] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            image_id, x, y, w, h, score = line.split(",")
-            out[image_id] = None if x == "" else (BoxI(int(x), int(y), int(w), int(h)), float(score))
+    for where, parts in store.records(path):
+        if len(parts) == 6 and not any(parts[1:]):
+            out[parts[0]] = None
+            continue
+        image_id, x, y, w, h, score = store.fields(parts, (str, int, int, int, int, float), where)
+        with store.checked(where):
+            out[image_id] = (BoxI(x, y, w, h), score)
     return out
 
 
@@ -291,10 +291,8 @@ def cmd_train_deepsegface(cfg: RunConfig, args, base: Path) -> int:
     models.mkdir(parents=True, exist_ok=True)
     dsf.save_deepsegface(model, models / "deepsegface.txt")
     reports.mkdir(parents=True, exist_ok=True)
-    with open(reports / "deepsegface_loss.csv", "w", encoding="utf-8") as fh:
-        fh.write("epoch,mean_loss\n")
-        for i, loss in enumerate(trace):
-            fh.write(f"{i},{loss!r}\n")
+    losses = [f"{i},{loss!r}" for i, loss in enumerate(trace)]
+    store.write_lines(reports / "deepsegface_loss.csv", ["epoch,mean_loss", *losses])
     print(
         f"deepsegface model -> {models / 'deepsegface.txt'} "
         f"(loss {trace[0]:.4f} -> {trace[-1]:.4f})"
@@ -390,10 +388,8 @@ def cmd_eval(cfg: RunConfig, args, base: Path) -> int:
         ],
         out_dir / "summary.csv",
     )
-    with open(out_dir / "fig5_table.csv", "w", encoding="utf-8") as fh:
-        fh.write("overlap_ratio,positive_fraction,negative_fraction\n")
-        for ratio, pos, neg in table:
-            fh.write(f"{ratio!r},{pos!r},{neg!r}\n")
+    rows = [f"{ratio!r},{pos!r},{neg!r}" for ratio, pos, neg in table]
+    store.write_lines(out_dir / "fig5_table.csv", ["overlap_ratio,positive_fraction,negative_fraction", *rows])
     print(
         f"tar@far={tar:.4f} recall@prec={recall:.4f} auc={auc:.4f} "
         f"coverage={coverage:.4f} -> {out_dir}"

@@ -6,10 +6,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, SegdetError
 from .segface import HogParams
-from .segments import SegmentLayout, SegmentRegion, default_layout, kind_from_name
+from .segments import SegmentLayout, default_layout, layout_entry
 from .synth import SynthSpec
+from . import store
 
 
 @dataclass
@@ -126,10 +127,7 @@ class RunConfig:
         regions = dict(base.regions)
         canonical = dict(base.canonical)
         for name, value in self.layout_overrides.items():
-            kind = kind_from_name(name)
-            u0, v0, u1, v1, h, w = value.split()
-            regions[kind] = SegmentRegion(float(u0), float(v0), float(u1), float(v1))
-            canonical[kind] = (int(h), int(w))
+            kind, regions[kind], canonical[kind] = layout_entry(name, value, "segments.layout")
         return SegmentLayout(regions, canonical)
 
 
@@ -168,7 +166,11 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {p}")
     cfg = RunConfig()
     frozen_updates: dict[str, dict] = {"hog": {}}
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{p}: not UTF-8 text (byte {exc.start})") from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -245,7 +247,9 @@ def validate_config(cfg: RunConfig) -> None:
     need(cfg.synth.face_min <= cfg.synth.face_max, "synth.face_min", "must not exceed synth.face_max")
     try:
         cfg.layout()
-    except (KeyError, ValueError) as exc:
+    except SegdetError as exc:
+        raise ConfigError(str(exc)) from None
+    except ValueError as exc:
         raise ConfigError(f"segments.layout: {exc}") from None
 
 
@@ -259,5 +263,4 @@ def write_config(cfg: RunConfig, path) -> None:
         for f in fields(cls):
             key = "svm.lambda" if (section, f.name) == ("svm", "lam") else f"{section}.{f.name}"
             lines.append(f"{key} = {getattr(obj, f.name)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    store.write_lines(path, lines)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .neuralnet import FC, Conv2D, MaxPool2, ReLU, Softmax, backward, forward, s
 from .priors import PriorTable, build_priors, priors_from_entries, priors_to_entries, rerank_multiplier
 from .proposals import LabeledProposal, Proposal
 from .segments import ALL_KINDS, SegmentKind, SegmentLayout, default_layout, kind_name
+from .segments import layout_from_entries, layout_to_entries
 from .seeding import derive_seed
 from . import store
 
@@ -449,11 +449,8 @@ def detect(
 DSF_MAGIC = "DEEPSEGFACE-MODEL v1"
 
 
-def save_deepsegface(model: DeepSegFaceModel, path) -> None:
-    from .segface import layout_to_entries
-
-    cfg = model.config
-    cfg_entries = [
+def _config_entries(cfg: NetworkConfig) -> list[tuple[str, str]]:
+    entries = [
         ("scale", cfg.scale),
         ("channels", str(cfg.channels)),
         ("blocks", " ".join(f"{b.channels}:{b.convs}:{int(b.pool)}" for b in cfg.blocks)),
@@ -465,19 +462,26 @@ def save_deepsegface(model: DeepSegFaceModel, path) -> None:
     ]
     for kind in ALL_KINDS:
         h, w = cfg.inputs[kind]
-        cfg_entries.append((f"input.{kind_name(kind)}", f"{h} {w}"))
-    sections = [("config", cfg_entries)]
-    for kind in ALL_KINDS:
-        entries = []
-        for li, layer in enumerate(model.columns[kind]):
-            for pi, arr in enumerate(layer.params()):
-                entries.append((f"p{li}.{pi}", store.array_to_blob(arr)))
-        sections.append((f"column kind={kind_name(kind)}", entries))
-    head_entries = []
-    for li, layer in enumerate(model.head):
+        entries.append((f"input.{kind_name(kind)}", f"{h} {w}"))
+    return entries
+
+
+def _named_params(layers: list):
+    """(`p<layer>.<param>` key, array) for every parameter of a layer list."""
+    for li, layer in enumerate(layers):
         for pi, arr in enumerate(layer.params()):
-            head_entries.append((f"p{li}.{pi}", store.array_to_blob(arr)))
-    sections.append(("head", head_entries))
+            yield f"p{li}.{pi}", arr
+
+
+def _param_entries(layers: list) -> list[tuple[str, str]]:
+    return [(key, store.array_to_blob(arr)) for key, arr in _named_params(layers)]
+
+
+def save_deepsegface(model: DeepSegFaceModel, path) -> None:
+    sections = [("config", _config_entries(model.config))]
+    for kind in ALL_KINDS:
+        sections.append((f"column kind={kind_name(kind)}", _param_entries(model.columns[kind])))
+    sections.append(("head", _param_entries(model.head)))
     if model.priors is None:
         raise DegenerateTrainingSetError("refusing to save a model without priors")
     sections.append(("priors", priors_to_entries(model.priors)))
@@ -485,44 +489,45 @@ def save_deepsegface(model: DeepSegFaceModel, path) -> None:
     store.write_sections(path, DSF_MAGIC, sections)
 
 
-def load_deepsegface(path) -> DeepSegFaceModel:
-    from .segface import layout_from_entries
+def _blobs(entries: dict[str, str], where: str) -> dict[str, np.ndarray]:
+    return {key: store.blob_to_array(text, f"{where} {key}") for key, text in entries.items()}
 
-    if not Path(path).is_file():
-        raise FileNotFoundError(f"no such model file: {path}")
-    sections = store.read_sections(path, DSF_MAGIC)
-    by_name = dict(sections)
-    if "config" not in by_name or "layout" not in by_name or "priors" not in by_name:
-        raise ParseError(f"{path}: model file is missing required sections")
-    cfg_e = by_name["config"]
-    layout = layout_from_entries(by_name["layout"])
-    blocks = tuple(
-        ConvBlock(int(c), int(v), bool(int(pl)))
-        for c, v, pl in (tok.split(":") for tok in cfg_e["blocks"].split())
-    )
-    inputs = {}
-    for kind in ALL_KINDS:
-        h, w = cfg_e[f"input.{kind_name(kind)}"].split()
-        inputs[kind] = (int(h), int(w))
-    cfg = NetworkConfig(
-        scale=cfg_e["scale"],
-        channels=int(cfg_e["channels"]),
-        inputs=inputs,
-        blocks=blocks,
-        reduce_maps=int(cfg_e["reduce_maps"]),
-        fc_units=int(cfg_e["fc_units"]),
-        classes=int(cfg_e["classes"]),
-        mean_pixel=float(cfg_e["mean_pixel"]),
-        dtype=cfg_e.get("dtype", "float64"),
-    )
+
+def _set_params(layers: list, blobs: dict[str, np.ndarray], where: str) -> None:
+    for key, arr in _named_params(layers):
+        if key not in blobs or blobs[key].shape != arr.shape:
+            raise ParseError(f"{where} {key}: missing or not of shape {arr.shape}")
+        arr[...] = blobs[key]
+
+
+def load_deepsegface(path) -> DeepSegFaceModel:
+    """Read a DeepSegFace model file.
+
+    The network is the preset named by the stored `scale` and `dtype`, built
+    on the stored layout; every other stored config field must equal the
+    preset's and every parameter blob must fit its layer, or ParseError names
+    the entry.
+    """
+    section = store.model_sections(path, DSF_MAGIC)
+    layout = layout_from_entries(*section("layout"))
+    cfg_e, where = section("config")
+    (scale,) = store.entry(cfg_e, "scale", (str,), where)
+    (dtype,) = store.entry(cfg_e, "dtype", (str,), where)
+    if scale not in ("toy", "full") or dtype not in ("float32", "float64"):
+        raise ParseError(f"{where}: no preset for scale {scale!r} and dtype {dtype!r}")
+    cfg = network_config(scale, layout, dtype)
+    for key, text in _config_entries(cfg):
+        if store.entry_text(cfg_e, key, where) != text:
+            raise ParseError(f"{where} {key}: {cfg_e[key]!r} differs from the preset's {text!r}")
+    head = _blobs(*section("head"))
+    # the head's first layer grows with the layout: check it before allocating
+    fc_shape = (cfg.concat_size, cfg.fc_units)
+    if "p0.0" not in head or head["p0.0"].shape != fc_shape:
+        raise ParseError(f"{path}: [head] p0.0: missing or not of shape {fc_shape}")
     model = build_network(cfg, seed=0, layout=layout)
     for kind in ALL_KINDS:
-        entries = by_name[f"column kind={kind_name(kind)}"]
-        for li, layer in enumerate(model.columns[kind]):
-            for pi, arr in enumerate(layer.params()):
-                arr[...] = store.blob_to_array(entries[f"p{li}.{pi}"])
-    for li, layer in enumerate(model.head):
-        for pi, arr in enumerate(layer.params()):
-            arr[...] = store.blob_to_array(by_name["head"][f"p{li}.{pi}"])
-    model.priors = priors_from_entries(by_name["priors"])
+        entries, cwhere = section(f"column kind={kind_name(kind)}")
+        _set_params(model.columns[kind], _blobs(entries, cwhere), cwhere)
+    _set_params(model.head, head, f"{path}: [head]")
+    model.priors = priors_from_entries(*section("priors"))
     return model

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .errors import EvalInvariantError, NoNegativeImagesError
 from .imaging import BoxI
+from . import store
 
 
 def iou(a: BoxI, b: BoxI) -> float:
@@ -163,13 +164,11 @@ def write_curve_csv(points: list[CurvePoint], path) -> None:
     lines = ["threshold,tar,far,precision,recall"]
     for p in points:
         lines.append(f"{p.threshold!r},{p.tar!r},{p.far!r},{p.precision!r},{p.recall!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    store.write_lines(path, lines)
 
 
 def write_summary_csv(metrics: list[tuple[str, float]], path) -> None:
     lines = ["metric,value"]
     for name, value in metrics:
         lines.append(f"{name},{value!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    store.write_lines(path, lines)

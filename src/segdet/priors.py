@@ -93,19 +93,21 @@ def priors_to_entries(table: PriorTable) -> list[tuple[str, str]]:
     ]
 
 
-def priors_from_entries(entries: dict[str, str]) -> PriorTable:
-    def parse_combo(text: str) -> dict[int, float]:
-        out = {}
-        for tok in text.split():
-            m, _, f = tok.partition(":")
-            out[int(m)] = float(f)
-        return out
+def priors_from_entries(entries: dict[str, str], where: str = "[priors]") -> PriorTable:
+    def combos(key: str) -> dict[int, float]:
+        pairs = (tok.split(":") for tok in store.entry_text(entries, key, where).split())
+        return dict(store.fields(pair, (int, float), f"{where} {key}") for pair in pairs)
 
+    def fractions(key: str) -> np.ndarray:
+        return np.array(store.entry(entries, key, (float,) * NUM_KINDS, where))
+
+    (n_face,) = store.entry(entries, "n_face", (int,), where)
+    (n_nonface,) = store.entry(entries, "n_nonface", (int,), where)
     return PriorTable(
-        parse_combo(entries["combo_face"]),
-        parse_combo(entries["combo_nonface"]),
-        store.floats_from_text(entries["seg_face"]),
-        store.floats_from_text(entries["seg_nonface"]),
-        int(entries["n_face"]),
-        int(entries["n_nonface"]),
+        combos("combo_face"),
+        combos("combo_nonface"),
+        fractions("seg_face"),
+        fractions("seg_nonface"),
+        n_face,
+        n_nonface,
     )

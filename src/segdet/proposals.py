@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParseError
 from .evaluate import iou
 from .imaging import BoxI, union_box
 from .segments import (
@@ -26,8 +27,11 @@ from .segments import (
     implied_face_box,
     implied_face_center,
     implied_face_diagonal,
+    kind_from_name,
+    kind_name,
     kinds_mask,
 )
+from . import store
 
 
 @dataclass
@@ -219,9 +223,6 @@ def label_proposals(proposals: list[Proposal], truth: BoxI | None) -> list[Label
 # image_id,cluster_id,x,y,w,h,label,overlap,k, then k member records of
 # kind,x,y,w,h,score. label/overlap are empty for unlabeled proposals.
 
-from .segments import kind_from_name, kind_name  # noqa: E402
-from .errors import ParseError, UnknownSegmentKindError  # noqa: E402
-
 
 def export_proposals(labeled_by_image: dict[str, list[LabeledProposal]], path) -> None:
     lines = ["# image_id,cluster_id,x,y,w,h,label,overlap,k,(kind,x,y,w,h,score)*k"]
@@ -243,48 +244,31 @@ def export_proposals(labeled_by_image: dict[str, list[LabeledProposal]], path) -
                 d = p.segments[kind]
                 fields += [kind_name(kind), str(d.box.x), str(d.box.y), str(d.box.w), str(d.box.h), repr(d.score)]
             lines.append(",".join(fields))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    store.write_lines(path, lines)
 
 
 def import_proposals(path) -> dict[str, list[LabeledProposal]]:
     out: dict[str, list[LabeledProposal]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) < 9:
-                raise ParseError(f"{path}:{lineno}: expected at least 9 fields")
-            try:
-                image_id = parts[0]
-                cluster_id = int(parts[1])
-                box = BoxI(int(parts[2]), int(parts[3]), int(parts[4]), int(parts[5]))
-                label = parts[6]
-                overlap = float(parts[7]) if parts[7] else 0.0
-                k = int(parts[8])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: malformed header fields") from exc
-            if label not in ("face", "nonface", ""):
-                raise ParseError(f"{path}:{lineno}: bad label {label!r}")
-            if len(parts) != 9 + 6 * k:
-                raise ParseError(f"{path}:{lineno}: expected {9 + 6 * k} fields for {k} members")
-            segs: dict[SegmentKind, SegmentDetection] = {}
-            for m in range(k):
-                f = parts[9 + 6 * m : 15 + 6 * m]
-                try:
-                    kind = kind_from_name(f[0])
-                except KeyError:
-                    raise UnknownSegmentKindError(
-                        f"{path}:{lineno}: unknown segment kind {f[0]!r}"
-                    ) from None
-                try:
-                    segs[kind] = SegmentDetection(
-                        kind, BoxI(int(f[1]), int(f[2]), int(f[3]), int(f[4])), float(f[5])
-                    )
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: malformed member record") from exc
-            p = Proposal(segs, box, cluster_id, image_id)
-            out.setdefault(image_id, []).append(LabeledProposal(p, label == "face", overlap))
+    for where, parts in store.records(path):
+        if len(parts) < 9:
+            raise ParseError(f"{where}: expected at least 9 fields, got {len(parts)}")
+        image_id, cluster_id, x, y, w, h, label, overlap, k = store.fields(
+            parts[:9], (str, int, int, int, int, int, str, str, int), where
+        )
+        if label not in ("face", "nonface", ""):
+            raise ParseError(f"{where}: bad label {label!r}")
+        overlap = store.fields([overlap], (float,), where)[0] if overlap else 0.0
+        if len(parts) != 9 + 6 * k:
+            raise ParseError(f"{where}: expected {9 + 6 * k} fields for {k} members")
+        segs: dict[SegmentKind, SegmentDetection] = {}
+        for m in range(9, len(parts), 6):
+            kname, mx, my, mw, mh, score = store.fields(
+                parts[m : m + 6], (str, int, int, int, int, float), where
+            )
+            kind = kind_from_name(kname, where)
+            with store.checked(where):
+                segs[kind] = SegmentDetection(kind, BoxI(mx, my, mw, mh), score)
+        with store.checked(where):
+            p = Proposal(segs, BoxI(x, y, w, h), cluster_id, image_id)
+        out.setdefault(image_id, []).append(LabeledProposal(p, label == "face", overlap))
     return out

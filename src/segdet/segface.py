@@ -8,8 +8,7 @@ features; the master SVM's margin on that vector is the proposal score.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,9 +27,9 @@ from .segments import (
     NUM_KINDS,
     SegmentKind,
     SegmentLayout,
-    SegmentRegion,
-    kind_from_name,
     kind_name,
+    layout_from_entries,
+    layout_to_entries,
 )
 from .seeding import derive_seed
 from . import store
@@ -284,39 +283,9 @@ def train_segface(
 SEGFACE_MAGIC = "SEGFACE-MODEL v1"
 
 
-def layout_to_entries(layout: SegmentLayout) -> list[tuple[str, str]]:
-    entries = []
-    for kind in ALL_KINDS:
-        r = layout.regions[kind]
-        h, w = layout.canonical[kind]
-        entries.append((kind_name(kind), f"{r.u0!r} {r.v0!r} {r.u1!r} {r.v1!r} {h} {w}"))
-    return entries
-
-
-def layout_from_entries(entries: dict[str, str]) -> SegmentLayout:
-    regions = {}
-    canonical = {}
-    for name, value in entries.items():
-        kind = kind_from_name(name)
-        u0, v0, u1, v1, h, w = value.split()
-        regions[kind] = SegmentRegion(float(u0), float(v0), float(u1), float(v1))
-        canonical[kind] = (int(h), int(w))
-    return SegmentLayout(regions, canonical)
-
-
 def save_segface(model: SegFaceModel, path) -> None:
-    sections = [
-        (
-            "hog",
-            [
-                ("cell", str(model.hog_params.cell)),
-                ("block", str(model.hog_params.block)),
-                ("bins", str(model.hog_params.bins)),
-                ("block_stride", str(model.hog_params.block_stride)),
-                ("clip", repr(model.hog_params.clip)),
-            ],
-        )
-    ]
+    hp = model.hog_params
+    sections = [("hog", [(f.name, repr(getattr(hp, f.name))) for f in fields(HogParams)])]
     for kind in ALL_KINDS:
         m = model.per_segment[kind]
         sections.append(
@@ -344,36 +313,27 @@ def save_segface(model: SegFaceModel, path) -> None:
     store.write_sections(path, SEGFACE_MAGIC, sections)
 
 
+def _linear_model(entries: dict[str, str], where: str, dim: int) -> LinearModel:
+    (bias,) = store.entry(entries, "bias", (float,), where)
+    weights = store.entry(entries, "weights", float, where)
+    if store.entry(entries, "dim", (int,), where) != [dim] or len(weights) != dim:
+        raise ParseError(f"{where}: dim and weights must match the input length {dim}")
+    return LinearModel(np.array(weights, dtype=np.float64), bias)
+
+
 def load_segface(path) -> SegFaceModel:
-    if not Path(path).is_file():
-        raise FileNotFoundError(f"no such model file: {path}")
-    hog_params = None
-    per_segment: dict[SegmentKind, LinearModel] = {}
-    master = None
-    priors = None
-    layout = None
-    for name, entries in store.read_sections(path, SEGFACE_MAGIC):
-        if name == "hog":
-            hog_params = HogParams(
-                int(entries["cell"]),
-                int(entries["block"]),
-                int(entries["bins"]),
-                int(entries["block_stride"]),
-                float(entries["clip"]),
-            )
-        elif name.startswith("svm kind="):
-            kind = kind_from_name(name.split("=", 1)[1])
-            per_segment[kind] = LinearModel(
-                store.floats_from_text(entries["weights"]), float(entries["bias"])
-            )
-        elif name == "master":
-            master = LinearModel(store.floats_from_text(entries["weights"]), float(entries["bias"]))
-        elif name == "priors":
-            priors = priors_from_entries(entries)
-        elif name == "layout":
-            layout = layout_from_entries(entries)
-        else:
-            raise ParseError(f"{path}: unexpected section [{name}]")
-    if hog_params is None or master is None or priors is None or layout is None:
-        raise ParseError(f"{path}: model file is missing required sections")
-    return SegFaceModel(hog_params, per_segment, master, priors, layout)
+    """Read a SegFace model file. Each segment SVM must have the HoG length of
+    its kind's canonical patch and the master FEATURE_LEN weights, or
+    ParseError names the entry."""
+    section = store.model_sections(path, SEGFACE_MAGIC)
+    entries, where = section("hog")
+    values = [store.entry(entries, f.name, (type(f.default),), where)[0] for f in fields(HogParams)]
+    with store.checked(where):
+        hog_params = HogParams(*values)
+    layout = layout_from_entries(*section("layout"))
+    per_segment = {}
+    for kind in ALL_KINDS:
+        dim = hog_length(*layout.canonical[kind], hog_params)
+        per_segment[kind] = _linear_model(*section(f"svm kind={kind_name(kind)}"), dim)
+    master = _linear_model(*section("master"), FEATURE_LEN)
+    return SegFaceModel(hog_params, per_segment, master, priors_from_entries(*section("priors")), layout)

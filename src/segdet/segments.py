@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 
+from .errors import ParseError, UnknownSegmentKindError
 from .imaging import BoxI
+from . import store
 
 
 class SegmentKind(IntEnum):
@@ -48,11 +50,11 @@ def kind_name(kind: SegmentKind) -> str:
     return _KIND_NAMES[kind]
 
 
-def kind_from_name(name: str) -> SegmentKind:
+def kind_from_name(name: str, where: str = "segments") -> SegmentKind:
     try:
         return _NAME_KINDS[name]
     except KeyError:
-        raise KeyError(f"unknown segment kind name {name!r}") from None
+        raise UnknownSegmentKindError(f"{where}: unknown segment kind {name!r}") from None
 
 
 def kinds_mask(kinds) -> int:
@@ -149,6 +151,39 @@ def default_layout(scale: str = "toy") -> SegmentLayout:
     if scale == "toy":
         return SegmentLayout(dict(UNIT_REGIONS), dict(TOY_CANONICAL_DIMS))
     raise ValueError(f"unknown layout scale {scale!r}; expected 'full' or 'toy'")
+
+
+# --- serialization: one `Kind = u0 v0 u1 v1 h w` entry per kind --------------
+
+
+def layout_to_entries(layout: SegmentLayout) -> list[tuple[str, str]]:
+    entries = []
+    for kind in ALL_KINDS:
+        r = layout.regions[kind]
+        h, w = layout.canonical[kind]
+        entries.append((kind_name(kind), f"{r.u0!r} {r.v0!r} {r.u1!r} {r.v1!r} {h} {w}"))
+    return entries
+
+
+def layout_entry(name: str, text: str, where: str) -> tuple[SegmentKind, SegmentRegion, tuple[int, int]]:
+    """One layout entry: its kind, unit region and canonical (h, w)."""
+    kind = kind_from_name(name, where)
+    where = f"{where} {name}"
+    u0, v0, u1, v1, h, w = store.fields(text.split(), (float,) * 4 + (int,) * 2, where)
+    with store.checked(where):
+        return kind, SegmentRegion(u0, v0, u1, v1), (h, w)
+
+
+def layout_from_entries(entries: dict[str, str], where: str = "[layout]") -> SegmentLayout:
+    """A layout section; every kind needs an entry."""
+    regions, canonical = {}, {}
+    for name, text in entries.items():
+        kind, regions[kind], canonical[kind] = layout_entry(name, text, where)
+    missing = [kind_name(k) for k in ALL_KINDS if k not in regions]
+    if missing:
+        raise ParseError(f"{where}: no entry for {', '.join(missing)}")
+    with store.checked(where):
+        return SegmentLayout(regions, canonical)
 
 
 @dataclass(frozen=True)

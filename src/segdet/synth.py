@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
 from .imaging import BoxI, Image, save_image
+from . import store
 
 
 @dataclass(frozen=True)
@@ -242,29 +242,16 @@ def save_annotations(annotations: list[Annotation], path) -> None:
             lines.append(f"{a.path},,,,")
         else:
             lines.append(f"{a.path},{a.face.x},{a.face.y},{a.face.w},{a.face.h}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    store.write_lines(path, lines)
 
 
 def load_annotations(path) -> list[Annotation]:
     annotations = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 5:
-                raise ParseError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
-            p, *box = fields
-            face = None
-            if any(box):
-                try:
-                    face = BoxI(*(int(v) for v in box))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}:{lineno}: face box must be four integers with "
-                        f"nonnegative extents, got {box}"
-                    ) from None
-            annotations.append(Annotation(p, face))
+    for where, parts in store.records(path):
+        if len(parts) == 5 and not any(parts[1:]):
+            annotations.append(Annotation(parts[0], None))
+            continue
+        p, x, y, w, h = store.fields(parts, (str, int, int, int, int), where)
+        with store.checked(where):
+            annotations.append(Annotation(p, BoxI(x, y, w, h)))
     return annotations

@@ -10,16 +10,10 @@ built-in detectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DegenerateDataError,
-    NoUsefulFeatureError,
-    ParseError,
-    UnknownSegmentKindError,
-)
+from .errors import DegenerateDataError, NoUsefulFeatureError, ParseError
 from .evaluate import iou
 from .imaging import BoxI, GrayImageF, integral, resize_bilinear
 from .segments import SegmentDetection, SegmentKind, kind_from_name, kind_name
@@ -360,36 +354,20 @@ def export_detections(dets_by_image: dict[str, list[SegmentDetection]], path) ->
                 f"{image_id},{kind_name(d.kind)},{d.box.x},{d.box.y},"
                 f"{d.box.w},{d.box.h},{d.score!r}"
             )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    store.write_lines(path, lines)
 
 
 def import_detections(path) -> dict[str, list[SegmentDetection]]:
     """Parse, validate and group detections by image id (file order kept)."""
     out: dict[str, list[SegmentDetection]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 7:
-                raise ParseError(f"{path}:{lineno}: expected 7 fields, got {len(parts)}")
-            image_id, kname = parts[0], parts[1]
-            try:
-                kind = kind_from_name(kname)
-            except KeyError:
-                raise UnknownSegmentKindError(
-                    f"{path}:{lineno}: unknown segment kind {kname!r}"
-                ) from None
-            try:
-                x, y, w, h = (int(v) for v in parts[2:6])
-                score = float(parts[6])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: malformed numeric field") from exc
-            if w <= 0 or h <= 0:
-                raise ParseError(f"{path}:{lineno}: box extents must be positive")
-            out.setdefault(image_id, []).append(SegmentDetection(kind, BoxI(x, y, w, h), score))
+    for where, parts in store.records(path):
+        image_id, kname, x, y, w, h, score = store.fields(
+            parts, (str, str, int, int, int, int, float), where
+        )
+        kind = kind_from_name(kname, where)
+        with store.checked(where):
+            det = SegmentDetection(kind, BoxI(x, y, w, h), score)
+        out.setdefault(image_id, []).append(det)
     return out
 
 
@@ -423,42 +401,20 @@ def save_detectors(detectors: list[BoostedDetector], path) -> None:
 _HAAR_UNITS = {HAAR_TWO_H: (2, 1), HAAR_TWO_V: (1, 2), HAAR_THREE_H: (3, 1)}
 
 
-def _values(entries: dict[str, str], key: str, types: tuple, where: str) -> list:
-    """The space-separated fields of one key, parsed by `types`; floats must be finite."""
-    if key not in entries:
-        raise ParseError(f"{where}: missing key '{key}'")
-    fields = entries[key].split()
-    if len(fields) != len(types):
-        raise ParseError(f"{where}: {key}: expected {len(types)} fields, got {len(fields)}")
-    values = []
-    for text, typ in zip(fields, types):
-        try:
-            value = typ(text)
-        except ValueError:
-            raise ParseError(f"{where}: {key}: cannot parse {text!r} as {typ.__name__}") from None
-        if typ is float and not np.isfinite(value):
-            raise ParseError(f"{where}: {key}: {text!r} is not finite")
-        values.append(value)
-    return values
-
-
 def _stump(entries: dict[str, str], key: str, win_w: int, win_h: int, where: str) -> Stump:
-    kname, x, y, w, h, thr, pol, alpha = _values(
+    kname, x, y, w, h, thr, pol, alpha = store.entry(
         entries, key, (str, int, int, int, int, float, int, float), where
     )
+    where = f"{where} {key}"
     if kname not in _HAAR_UNITS:
-        raise ParseError(f"{where}: {key}: unknown Haar kind {kname!r}")
+        raise ParseError(f"{where}: unknown Haar kind {kname!r}")
     if w <= 0 or h <= 0 or x < 0 or y < 0 or x + w > win_w or y + h > win_h:
-        raise ParseError(
-            f"{where}: {key}: rect {x} {y} {w} {h} is not inside the {win_w}x{win_h} window"
-        )
+        raise ParseError(f"{where}: rect {x} {y} {w} {h} is not inside the {win_w}x{win_h} window")
     unit_w, unit_h = _HAAR_UNITS[kname]
     if w % unit_w or h % unit_h:
-        raise ParseError(
-            f"{where}: {key}: {kname} rect {w}x{h} is not divisible by {unit_w}x{unit_h}"
-        )
+        raise ParseError(f"{where}: {kname} rect {w}x{h} is not divisible by {unit_w}x{unit_h}")
     if pol not in (1, -1):
-        raise ParseError(f"{where}: {key}: polarity must be 1 or -1, got {pol}")
+        raise ParseError(f"{where}: polarity must be 1 or -1, got {pol}")
     return Stump(HaarFeature(kname, BoxI(x, y, w, h)), thr, pol, alpha)
 
 
@@ -469,24 +425,19 @@ def load_detectors(path) -> list[BoostedDetector]:
     inside its window and split evenly by its Haar kind; any other defect
     raises ParseError naming the path, section and key.
     """
-    if not Path(path).is_file():
-        raise FileNotFoundError(f"no such model file: {path}")
     detectors = []
     for name, entries in store.read_sections(path, WEAK_MAGIC):
         if not name.startswith("detector kind="):
             raise ParseError(f"{path}: unexpected section [{name}]")
         where = f"{path}: [{name}]"
-        try:
-            kind = kind_from_name(name.split("=", 1)[1])
-        except KeyError:
-            raise UnknownSegmentKindError(f"{where}: unknown segment kind") from None
-        win_w, win_h = _values(entries, "window", (int, int), where)
+        kind = kind_from_name(name.partition("=")[2], where)
+        win_w, win_h = store.entry(entries, "window", (int, int), where)
         if win_w <= 0 or win_h <= 0:
-            raise ParseError(f"{where}: window: extents must be positive, got {win_w} {win_h}")
-        (accept,) = _values(entries, "accept_threshold", (float,), where)
-        (count,) = _values(entries, "stump_count", (int,), where)
+            raise ParseError(f"{where} window: extents must be positive, got {win_w} {win_h}")
+        (accept,) = store.entry(entries, "accept_threshold", (float,), where)
+        (count,) = store.entry(entries, "stump_count", (int,), where)
         if count < 0:
-            raise ParseError(f"{where}: stump_count: must be nonnegative, got {count}")
+            raise ParseError(f"{where} stump_count: must be nonnegative, got {count}")
         stumps = [_stump(entries, f"stump{i}", win_w, win_h, where) for i in range(count)]
         detectors.append(BoostedDetector(kind, win_w, win_h, stumps, accept))
     return detectors

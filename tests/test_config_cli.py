@@ -83,6 +83,13 @@ class TestCliExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["validate-config", "--config", str(tmp_path / "none.cfg")]) == 2
 
+    def test_undecodable_config_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "run.cfg"
+        p.write_bytes(b"seed = \xff\n")
+        assert cli.main(["validate-config", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert str(p) in err and "Traceback" not in err
+
     def test_missing_input_exit_code(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("seed = 1\n")

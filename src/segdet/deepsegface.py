@@ -3,10 +3,14 @@ reduction, concatenation, a fully connected + softmax head, and prior-based
 re-ranking of the face probability.
 
 Missing segments feed an exactly-zero input into their column (applied after
-mean subtraction). Because a batch's absent entries share that zero input,
-each column is evaluated once on its present rows plus a single shared zero
-row whose output (and summed gradient) stands in for all absent rows; the
-result is bit-identical to evaluating every row.
+mean subtraction). Each column runs once on a batch's distinct input rows and
+every proposal reads its output row through a row map. Absent entries share one
+zero row, whose output (and summed gradient) stands in for all of them; at
+inference, proposals holding the same segment (source image and box) share its
+row as well. An identical box gives an identical input, and a column's output
+row depends only on its input row, so sharing is bit-identical to evaluating
+each proposal alone. Training keeps one row per present proposal, so gradients
+keep the float order of per-row evaluation.
 """
 
 from __future__ import annotations
@@ -175,8 +179,9 @@ class DeepSegFaceModel:
         return out
 
 
-def build_network(config: NetworkConfig, seed: int = 0, layout: SegmentLayout | None = None) -> DeepSegFaceModel:
-    """Construct and randomly initialize all columns and the head."""
+def build_network(config: NetworkConfig, seed: int | None = 0, layout: SegmentLayout | None = None) -> DeepSegFaceModel:
+    """Construct all columns and the head, He-initialized from `seed`, or
+    zero-filled when `seed` is None (for a reader that sets every parameter)."""
     config.validate()
     if layout is None:
         layout = default_layout(config.scale)
@@ -184,7 +189,7 @@ def build_network(config: NetworkConfig, seed: int = 0, layout: SegmentLayout | 
     columns: dict[SegmentKind, list] = {}
     reduce_start: dict[SegmentKind, int] = {}
     for kind in ALL_KINDS:
-        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "column", kind_name(kind))))
+        rng = None if seed is None else np.random.Generator(np.random.PCG64(derive_seed(seed, "column", kind_name(kind))))
         layers = []
         in_c = config.channels
         for blk in config.blocks:
@@ -198,7 +203,7 @@ def build_network(config: NetworkConfig, seed: int = 0, layout: SegmentLayout | 
         layers.append(Conv2D(in_c, config.reduce_maps, 1, "valid", rng=rng, dtype=dtype))
         layers.append(ReLU())
         columns[kind] = layers
-    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "head")))
+    rng = None if seed is None else np.random.Generator(np.random.PCG64(derive_seed(seed, "head")))
     head = [
         FC(config.concat_size, config.fc_units, rng=rng, dtype=dtype),
         ReLU(),
@@ -233,10 +238,25 @@ class _BatchState:
 
     def __init__(self):
         self.column_acts: dict[SegmentKind, list] = {}
-        self.present_rows: dict[SegmentKind, np.ndarray] = {}
-        self.zero_row: dict[SegmentKind, bool] = {}
+        self.absent: dict[SegmentKind, np.ndarray] = {}
         self.head_acts: list = []
-        self.flat_sizes: dict[SegmentKind, int] = {}
+
+
+def _column_rows(batch: list[Proposal], kind: SegmentKind, training: bool):
+    """(row_of, firsts): proposal i's column input row, and a proposal holding
+    each present row. Rows are keyed by proposal in training, else by segment
+    (source image, box); absent proposals map to the zero row, len(firsts)."""
+    keys = [
+        None if kind not in p.segments else i if training else (p.source_image, p.segments[kind].box.astuple())
+        for i, p in enumerate(batch)
+    ]
+    rows: dict = {}
+    firsts: list[int] = []
+    for i, key in enumerate(keys):
+        if key is not None and key not in rows:
+            rows[key] = len(firsts)
+            firsts.append(i)
+    return np.array([rows.get(key, len(firsts)) for key in keys], dtype=np.intp), firsts
 
 
 def _forward_batch(
@@ -244,36 +264,28 @@ def _forward_batch(
     batch: list[Proposal],
     images: dict[str, GrayImageF],
     cache: dict | None = None,
+    training: bool = False,
 ) -> tuple[np.ndarray, _BatchState]:
-    """Probabilities (N, classes) for a batch of proposals."""
+    """Probabilities (N, classes) for a batch of proposals.
+
+    `training` keeps one column row per present proposal, which
+    `_backward_batch` needs; otherwise proposals share rows by segment.
+    """
     cfg = model.config
-    dtype = np.dtype(cfg.dtype)
-    n = len(batch)
     state = _BatchState()
     parts = []
     for kind in ALL_KINDS:
         h, w = cfg.inputs[kind]
-        present = np.array([i for i, p in enumerate(batch) if kind in p.segments], dtype=np.intp)
-        use_zero = len(present) < n
-        rows = len(present) + (1 if use_zero else 0)
-        x = np.zeros((rows, cfg.channels, h, w), dtype=dtype)
-        for r, i in enumerate(present.tolist()):
+        row_of, firsts = _column_rows(batch, kind, training)
+        absent = row_of == len(firsts)
+        x = np.zeros((len(firsts) + absent.any(), cfg.channels, h, w), dtype=cfg.dtype)
+        for r, i in enumerate(firsts):
             p = batch[i]
             x[r] = _input_tensor(model, p.segments[kind], images[p.source_image], cache, p.source_image)
         acts = forward(model.columns[kind], x)
-        out = acts[-1]
-        flat = out.reshape(rows, -1)
-        fsize = flat.shape[1]
-        full = np.empty((n, fsize), dtype=dtype)
-        if use_zero:
-            full[:] = flat[-1]  # zero-input output stands in for absent rows
-        if len(present):
-            full[present] = flat[: len(present)]
         state.column_acts[kind] = acts
-        state.present_rows[kind] = present
-        state.zero_row[kind] = use_zero
-        state.flat_sizes[kind] = fsize
-        parts.append(full)
+        state.absent[kind] = absent
+        parts.append(acts[-1].reshape(len(x), cfg.flatten_size(kind))[row_of])
     concat = np.concatenate(parts, axis=1)
     state.head_acts = forward(model.head, concat)
     return state.head_acts[-1], state
@@ -286,26 +298,22 @@ def _backward_batch(
     freeze_columns: bool,
 ):
     """Parameter gradients in the order column_params + reduce_params + head_params
-    (column grads omitted when freeze_columns)."""
+    (column grads omitted when freeze_columns), for a `training` forward."""
     head_grads, grad_concat = backward(model.head, state.head_acts, grad_probs)
-    n = grad_concat.shape[0]
     col_grads: list[np.ndarray] = []
     red_grads: list[np.ndarray] = []
     offset = 0
     for kind in ALL_KINDS:
-        fsize = state.flat_sizes[kind]
-        g_full = grad_concat[:, offset : offset + fsize]
-        offset += fsize
-        present = state.present_rows[kind]
-        rows = len(present) + (1 if state.zero_row[kind] else 0)
-        g_rows = np.zeros((rows, fsize), dtype=g_full.dtype)
-        if len(present):
-            g_rows[: len(present)] = g_full[present]
-        if state.zero_row[kind]:
-            absent = np.setdiff1d(np.arange(n), present, assume_unique=True)
-            g_rows[-1] = g_full[absent].sum(axis=0)
         acts = state.column_acts[kind]
         out_shape = acts[-1].shape
+        fsize = model.config.flatten_size(kind)
+        g_full = grad_concat[:, offset : offset + fsize]
+        offset += fsize
+        absent = state.absent[kind]
+        g_rows = np.zeros((out_shape[0], fsize), dtype=g_full.dtype)
+        g_rows[: len(g_rows) - absent.any()] = g_full[~absent]  # one row per present proposal
+        if absent.any():
+            g_rows[-1] = g_full[absent].sum(axis=0)
         g_out = g_rows.reshape(out_shape)
         layers = model.columns[kind]
         start = model.reduce_start[kind] if freeze_columns else 0
@@ -323,31 +331,15 @@ def _backward_batch(
     return col_grads, red_grads, head_flat
 
 
-def forward_proposal(
-    model: DeepSegFaceModel,
-    p: Proposal,
-    image: GrayImageF,
-    cache: dict | None = None,
-) -> tuple[float, float]:
-    """(p_face, p_nonface) for one proposal; the pair sums to one."""
-    probs, _ = _forward_batch(model, [p], {p.source_image: image}, cache)
-    return float(probs[0, FACE_CLASS]), float(probs[0, 1 - FACE_CLASS])
-
-
 def score_proposals(
     model: DeepSegFaceModel,
     proposals: list[Proposal],
     images: dict[str, GrayImageF],
     cache: dict | None = None,
-    batch: int = 64,
 ) -> np.ndarray:
-    """Face probabilities for many proposals, batched."""
-    out = np.zeros(len(proposals), dtype=np.float64)
-    for lo in range(0, len(proposals), batch):
-        chunk = proposals[lo : lo + batch]
-        probs, _ = _forward_batch(model, chunk, images, cache)
-        out[lo : lo + len(chunk)] = probs[:, FACE_CLASS]
-    return out
+    """Face probabilities for many proposals, in one batch."""
+    probs, _ = _forward_batch(model, proposals, images, cache)
+    return probs[:, FACE_CLASS].astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -410,7 +402,7 @@ def train(
             )
             batch = [labeled[i].proposal for i in pick]
             y = labels[pick]
-            probs, state = _forward_batch(model, batch, images, cache)
+            probs, state = _forward_batch(model, batch, images, cache, training=True)
             b = len(batch)
             losses = -np.log(np.maximum(probs[np.arange(b), y], 1e-12))
             epoch_loss += float(losses.mean())
@@ -524,7 +516,7 @@ def load_deepsegface(path) -> DeepSegFaceModel:
     fc_shape = (cfg.concat_size, cfg.fc_units)
     if "p0.0" not in head or head["p0.0"].shape != fc_shape:
         raise ParseError(f"{path}: [head] p0.0: missing or not of shape {fc_shape}")
-    model = build_network(cfg, seed=0, layout=layout)
+    model = build_network(cfg, seed=None, layout=layout)
     for kind in ALL_KINDS:
         entries, cwhere = section(f"column kind={kind_name(kind)}")
         _set_params(model.columns[kind], _blobs(entries, cwhere), cwhere)

@@ -18,7 +18,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import ModelVersionMismatchError, ParseError
+from .errors import MissingInputError, ModelVersionMismatchError, ParseError
 
 
 def write_lines(path, lines) -> None:
@@ -32,6 +32,8 @@ def _text_lines(path) -> list[str]:
             return fh.read().splitlines()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    except IsADirectoryError:
+        raise MissingInputError(f"{path}: a directory, not a file") from None
 
 
 def records(path):

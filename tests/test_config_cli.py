@@ -114,6 +114,18 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert f"{ann}:2" in err and "Traceback" not in err
 
+    def test_directory_for_input_file_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "run.cfg"
+        p.write_text("seed = 1\n")
+        ann = tmp_path / "data/test/annotations.csv"
+        ann.parent.mkdir(parents=True)
+        ann.write_text("images/a.pgm,1,2,30,40\n")
+        faces = tmp_path / "reports/faces_deepsegface_test.csv"
+        faces.mkdir(parents=True)
+        assert cli.main(["eval", "--config", str(p)]) == 3
+        err = capsys.readouterr().err
+        assert str(faces) in err and "Traceback" not in err
+
     def test_seed_flag_overrides_config(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("seed = 1\nsynth.train_count = 3\nsynth.test_count = 2\n")

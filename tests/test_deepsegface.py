@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -91,40 +93,129 @@ def trained_toy():
     return model, images, labeled, trace
 
 
+def face_prob(model, proposal, images):
+    """p_face of one proposal scored alone."""
+    probs, _ = dsf._forward_batch(model, [proposal], images)
+    return probs[0, dsf.FACE_CLASS]
+
+
 class TestForward:
     def test_probabilities_sum_to_one(self, trained_toy):
         model, images, labeled, _ = trained_toy
-        for lp in labeled[:4]:
-            pf, pn = dsf.forward_proposal(model, lp.proposal, images[lp.proposal.source_image])
-            assert pf + pn == pytest.approx(1.0, abs=1e-6)
-            assert 0.0 <= pf <= 1.0
+        probs, _ = dsf._forward_batch(model, [lp.proposal for lp in labeled[:4]], images)
+        assert probs.sum(axis=1) == pytest.approx(1.0, abs=1e-6)
+        assert ((probs >= 0.0) & (probs <= 1.0)).all()
 
     def test_identical_inputs_identical_probabilities(self, trained_toy):
         model, images, labeled, _ = trained_toy
-        lp = labeled[0]
-        img = images[lp.proposal.source_image]
-        a = dsf.forward_proposal(model, lp.proposal, img)
-        b = dsf.forward_proposal(model, lp.proposal, img)
-        assert a == b
+        batch = [lp.proposal for lp in labeled]
+        assert np.array_equal(dsf.score_proposals(model, batch, images), dsf.score_proposals(model, batch, images))
 
     def test_batch_composition_does_not_change_result(self, trained_toy):
         # the shared zero-row stands in for absent rows exactly
         model, images, labeled, _ = trained_toy
-        alone, _ = dsf._forward_batch(model, [labeled[0].proposal], images)
-        mixed, _ = dsf._forward_batch(model, [lp.proposal for lp in labeled[:5]], images)
+        alone, one = dsf._forward_batch(model, [labeled[0].proposal], images)
+        mixed, five = dsf._forward_batch(model, [lp.proposal for lp in labeled[:5]], images)
+        assert np.array_equal(one.head_acts[0][0], five.head_acts[0][0])
+        # a one-row head product runs BLAS's matrix-vector kernel, which may
+        # round differently from the matrix-matrix kernel of a larger batch
         assert np.allclose(alone[0], mixed[0], atol=1e-12)
 
     def test_dropping_a_segment_changes_probabilities(self, trained_toy):
         model, images, labeled, _ = trained_toy
-        lp = labeled[0]
-        img = images[lp.proposal.source_image]
-        full = lp.proposal
+        full = labeled[0].proposal
         reduced_segs = dict(full.segments)
         reduced_segs.pop(SegmentKind.U12)
         reduced = Proposal(reduced_segs, full.box, full.cluster_id, full.source_image)
-        pf_full, _ = dsf.forward_proposal(model, full, img)
-        pf_red, _ = dsf.forward_proposal(model, reduced, img)
-        assert pf_full != pf_red
+        assert face_prob(model, full, images) != face_prob(model, reduced, images)
+
+
+SHARED_KINDS = (SegmentKind.L12, SegmentKind.R12, SegmentKind.U12, SegmentKind.NOSE, SegmentKind.EYE)
+
+
+def shared_segment_batch():
+    """Proposals over two images with different pixels, each holding subsets
+    of the same segments (same kinds, same boxes) of two face boxes."""
+    rng = np.random.default_rng(21)
+    images, batch = {}, []
+    for name in ("a", "b"):
+        images[name] = gray(rng.uniform(0.0, 1.0, (110, 150)))
+        for face in (BoxI(30, 20, 70, 70), BoxI(70, 40, 60, 60)):
+            segs = {k: SegmentDetection(k, LAYOUT.segment_box(face, k), 1.0) for k in SHARED_KINDS}
+            for size in (5, 3, 1):
+                for subset in itertools.combinations(SHARED_KINDS, size):
+                    batch.append(Proposal({k: segs[k] for k in subset}, face, 0, name))
+    return images, batch
+
+
+def count_column_rows(monkeypatch, model):
+    """Rows seen by each column's first conv, one list of counts per kind."""
+    seen = {kind: [] for kind in ALL_KINDS}
+    for kind in ALL_KINDS:
+        conv = model.columns[kind][0]
+
+        def counted(x, kind=kind, fwd=conv.forward):
+            seen[kind].append(x.shape[0])
+            return fwd(x)
+
+        monkeypatch.setattr(conv, "forward", counted)
+    return seen
+
+
+def shared_rows(batch, kind):
+    """Distinct present (image, box) segments of a kind, plus one zero row if
+    some proposal lacks the kind."""
+    present = {(p.source_image, p.segments[kind].box) for p in batch if kind in p.segments}
+    return len(present) + any(kind not in p.segments for p in batch)
+
+
+class TestSharedRows:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_shared_rows_score_each_proposal_exactly(self, monkeypatch, dtype):
+        images, batch = shared_segment_batch()
+        model = dsf.build_network(dsf.toy_config(LAYOUT, dtype), seed=8, layout=LAYOUT)
+        own_rows, _ = dsf._forward_batch(model, batch, images, training=True)
+        seen = count_column_rows(monkeypatch, model)
+        probs, state = dsf._forward_batch(model, batch, images)
+        # the comparison covers shared rows: each column ran on fewer rows
+        # than the batch holds segments of its kind
+        for kind in SHARED_KINDS:
+            assert seen[kind] == [shared_rows(batch, kind)]
+            assert shared_rows(batch, kind) < sum(kind in p.segments for p in batch)
+        # each proposal's head input is exactly the one it gets scored alone
+        concat = state.head_acts[0]
+        for i, p in enumerate(batch):
+            _, alone = dsf._forward_batch(model, [p], images)
+            assert np.array_equal(concat[i], alone.head_acts[0][0])
+        # the same boxes in the two images hold different pixels
+        assert not np.array_equal(concat[0], concat[len(batch) // 2])
+        # and its probabilities are those of one column row per proposal
+        assert np.array_equal(probs, own_rows)
+        assert np.array_equal(dsf.score_proposals(model, batch, images), own_rows[:, dsf.FACE_CLASS].astype(np.float64))
+
+    def test_column_row_counts(self, monkeypatch):
+        images, batch = shared_segment_batch()
+        model = dsf.build_network(dsf.toy_config(LAYOUT, "float64"), seed=8, layout=LAYOUT)
+        seen = count_column_rows(monkeypatch, model)
+        dsf.score_proposals(model, batch, images)
+        assert seen == {kind: [shared_rows(batch, kind)] for kind in ALL_KINDS}
+
+        # training keeps one row per present proposal, repeats included
+        train_images, labeled = tiny_setup(np.random.default_rng(3), n_images=2)
+        batches = []
+        forward_batch = dsf._forward_batch
+
+        def recorded(model, batch, *args, **kwargs):
+            batches.append(batch)
+            return forward_batch(model, batch, *args, **kwargs)
+
+        monkeypatch.setattr(dsf, "_forward_batch", recorded)
+        seen = count_column_rows(monkeypatch, model)
+        dsf.train(model, labeled, train_images, dsf.TrainParams(epochs=1, batch=6), seed=4)
+        assert any(len({id(p) for p in b}) < len(b) for b in batches)
+        for kind in ALL_KINDS:
+            want = [sum(kind in p.segments for p in b) + any(kind not in p.segments for p in b) for b in batches]
+            assert seen[kind] == want
 
 
 class TestTraining:
@@ -202,10 +293,7 @@ def test_model_file_round_trip(tmp_path, trained_toy):
     dsf.save_deepsegface(model, path)
     assert path.read_text().startswith("DEEPSEGFACE-MODEL v1\n")
     back = dsf.load_deepsegface(path)
-    lp = labeled[0]
-    img = images[lp.proposal.source_image]
-    assert dsf.forward_proposal(back, lp.proposal, img) == pytest.approx(
-        dsf.forward_proposal(model, lp.proposal, img), abs=1e-12
-    )
+    batch = [lp.proposal for lp in labeled]
+    assert np.array_equal(dsf.score_proposals(back, batch, images), dsf.score_proposals(model, batch, images))
     dsf.save_deepsegface(back, tmp_path / "again.txt")
     assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()

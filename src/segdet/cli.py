@@ -285,7 +285,6 @@ def cmd_train_deepsegface(cfg: RunConfig, args, base: Path) -> int:
         weight_decay=cfg.net.weight_decay,
         epochs=cfg.net.epochs,
         batch=cfg.net.batch,
-        freeze_columns=cfg.net.freeze_columns,
     )
     trace = dsf.train(model, labeled, images, params, derive_seed(cfg.seed, "dsf-train"))
     models.mkdir(parents=True, exist_ok=True)

@@ -59,7 +59,6 @@ class NetCfg:
     weight_decay: float = 1e-4
     epochs: int = 10
     batch: int = 32
-    freeze_columns: bool = False
     dtype: str = "float32"  # training precision; gradient checks use float64
 
 
@@ -148,12 +147,6 @@ _KEY_ALIASES = {"svm.lambda": "svm.lam"}
 
 def _coerce(value: str, target_type, key: str):
     try:
-        if target_type is bool:
-            if value.lower() in ("1", "true", "yes", "on"):
-                return True
-            if value.lower() in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(value)
         return target_type(value)
     except ValueError:
         raise ConfigError(f"{key}: cannot parse {value!r} as {target_type.__name__}") from None
@@ -195,8 +188,8 @@ def parse_config(path) -> RunConfig:
         ftypes = {f.name: f.type for f in fields(cls)}
         if fname not in ftypes:
             raise ConfigError(f"{p}:{lineno}: unknown key {key!r}")
-        target = getattr(cfg, "eval" if section == "eval" else section)
-        ftype = {"int": int, "float": float, "str": str, "bool": bool}[ftypes[fname]]
+        target = getattr(cfg, section)
+        ftype = {"int": int, "float": float, "str": str}[ftypes[fname]]
         coerced = _coerce(value, ftype, key)
         if section == "hog":
             frozen_updates["hog"][fname] = coerced
@@ -226,6 +219,7 @@ def validate_config(cfg: RunConfig) -> None:
     need(cfg.proposals.box_mode in ("segments", "implied"), "proposals.box_mode", "must be 'segments' or 'implied'")
     need(cfg.weak.rounds >= 1, "weak.rounds", "must be >= 1")
     need(cfg.weak.stride >= 1, "weak.stride", "must be >= 1")
+    need(cfg.weak.scale_min > 0, "weak.scale_min", "must be positive")
     need(cfg.weak.scale_factor > 1.0, "weak.scale_factor", "pyramid rung factor must exceed 1")
     need(cfg.weak.scale_count >= 1, "weak.scale_count", "must be >= 1")
     need(0.0 < cfg.weak.window_scale <= 1.0, "weak.window_scale", "must be in (0, 1]")
@@ -241,6 +235,9 @@ def validate_config(cfg: RunConfig) -> None:
     need(0.0 < cfg.eval.prec_target < 1.0, "eval.prec_target", "must be in (0, 1)")
     need(cfg.synth.train_count >= 1, "synth.train_count", "must be >= 1")
     need(cfg.synth.test_count >= 1, "synth.test_count", "must be >= 1")
+    need(cfg.synth.width >= 1, "synth.width", "must be >= 1")
+    need(cfg.synth.height >= 1, "synth.height", "must be >= 1")
+    need(cfg.synth.noise >= 0, "synth.noise", "must be >= 0")
     for name in ("face_min", "face_max", "no_face_fraction", "occlusion_prob", "shift_prob", "max_shift", "decoy_prob", "glasses_prob"):
         v = getattr(cfg.synth, name)
         need(0.0 <= v <= 1.0, f"synth.{name}", "must be in [0, 1]")
@@ -259,7 +256,7 @@ def write_config(cfg: RunConfig, path) -> None:
     for name, value in cfg.layout_overrides.items():
         lines.append(f"segments.layout.{name} = {value}")
     for section, cls in _SECTIONS.items():
-        obj = getattr(cfg, "eval" if section == "eval" else section)
+        obj = getattr(cfg, section)
         for f in fields(cls):
             key = "svm.lambda" if (section, f.name) == ("svm", "lam") else f"{section}.{f.name}"
             lines.append(f"{key} = {getattr(obj, f.name)}")

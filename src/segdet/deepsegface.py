@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigShapeError, DegenerateTrainingSetError, ParseError
 from .imaging import GrayImageF, extract_patch
-from .neuralnet import FC, Conv2D, MaxPool2, ReLU, Softmax, backward, forward, sgd_step
+from .neuralnet import FC, Conv2D, MaxPool2, ReLU, Softmax, backward, forward, sgd_step, xent
 from .priors import PriorTable, build_priors, priors_from_entries, priors_to_entries, rerank_multiplier
 from .proposals import LabeledProposal, Proposal
 from .segments import ALL_KINDS, SegmentKind, SegmentLayout, default_layout, kind_name
@@ -113,7 +113,7 @@ VGG_BLOCKS = (
 TOY_BLOCKS = (ConvBlock(8, 1), ConvBlock(16, 1))
 
 
-def full_config(layout: SegmentLayout | None = None) -> NetworkConfig:
+def full_config(layout: SegmentLayout | None = None, dtype: str = "float64") -> NetworkConfig:
     layout = layout or default_layout("full")
     return NetworkConfig(
         scale="full",
@@ -122,6 +122,7 @@ def full_config(layout: SegmentLayout | None = None) -> NetworkConfig:
         blocks=VGG_BLOCKS,
         reduce_maps=50,
         fc_units=250,
+        dtype=dtype,
         expected_flatten=dict(FULL_FLATTEN_SIZES),
     )
 
@@ -141,7 +142,7 @@ def toy_config(layout: SegmentLayout | None = None, dtype: str = "float64") -> N
 
 def network_config(scale: str, layout: SegmentLayout | None = None, dtype: str = "float64") -> NetworkConfig:
     if scale == "full":
-        return full_config(layout)
+        return full_config(layout, dtype)
     if scale == "toy":
         return toy_config(layout, dtype)
     raise ValueError(f"unknown network scale {scale!r}")
@@ -151,32 +152,14 @@ def network_config(scale: str, layout: SegmentLayout | None = None, dtype: str =
 class DeepSegFaceModel:
     config: NetworkConfig
     columns: dict[SegmentKind, list]  # conv blocks + 1x1 reduce, per kind
-    reduce_start: dict[SegmentKind, int]  # index where the reduce sublayers begin per column
     head: list
     layout: SegmentLayout
     priors: PriorTable | None = None
 
-    def column_params(self):
-        out = []
-        for kind in ALL_KINDS:
-            start = self.reduce_start[kind]
-            for layer in self.columns[kind][:start]:
-                out.extend(layer.params())
-        return out
-
-    def reduce_params(self):
-        out = []
-        for kind in ALL_KINDS:
-            start = self.reduce_start[kind]
-            for layer in self.columns[kind][start:]:
-                out.extend(layer.params())
-        return out
-
-    def head_params(self):
-        out = []
-        for layer in self.head:
-            out.extend(layer.params())
-        return out
+    def params(self) -> list[np.ndarray]:
+        """Every trainable tensor: the columns in kind order, then the head."""
+        layers = [layer for kind in ALL_KINDS for layer in self.columns[kind]] + self.head
+        return [w for layer in layers for w in layer.params()]
 
 
 def build_network(config: NetworkConfig, seed: int | None = 0, layout: SegmentLayout | None = None) -> DeepSegFaceModel:
@@ -187,7 +170,6 @@ def build_network(config: NetworkConfig, seed: int | None = 0, layout: SegmentLa
         layout = default_layout(config.scale)
     dtype = np.dtype(config.dtype)
     columns: dict[SegmentKind, list] = {}
-    reduce_start: dict[SegmentKind, int] = {}
     for kind in ALL_KINDS:
         rng = None if seed is None else np.random.Generator(np.random.PCG64(derive_seed(seed, "column", kind_name(kind))))
         layers = []
@@ -199,7 +181,6 @@ def build_network(config: NetworkConfig, seed: int | None = 0, layout: SegmentLa
                 in_c = blk.channels
             if blk.pool:
                 layers.append(MaxPool2())
-        reduce_start[kind] = len(layers)
         layers.append(Conv2D(in_c, config.reduce_maps, 1, "valid", rng=rng, dtype=dtype))
         layers.append(ReLU())
         columns[kind] = layers
@@ -210,7 +191,7 @@ def build_network(config: NetworkConfig, seed: int | None = 0, layout: SegmentLa
         FC(config.fc_units, config.classes, rng=rng, dtype=dtype),
         Softmax(),
     ]
-    return DeepSegFaceModel(config, columns, reduce_start, head, layout)
+    return DeepSegFaceModel(config, columns, head, layout)
 
 
 FACE_CLASS = 0  # softmax output index for "face"
@@ -291,17 +272,10 @@ def _forward_batch(
     return state.head_acts[-1], state
 
 
-def _backward_batch(
-    model: DeepSegFaceModel,
-    state: _BatchState,
-    grad_probs: np.ndarray,
-    freeze_columns: bool,
-):
-    """Parameter gradients in the order column_params + reduce_params + head_params
-    (column grads omitted when freeze_columns), for a `training` forward."""
+def _backward_batch(model: DeepSegFaceModel, state: _BatchState, grad_probs: np.ndarray) -> list[np.ndarray]:
+    """Parameter gradients aligned with `model.params()`, for a `training` forward."""
     head_grads, grad_concat = backward(model.head, state.head_acts, grad_probs)
-    col_grads: list[np.ndarray] = []
-    red_grads: list[np.ndarray] = []
+    grads: list[np.ndarray] = []
     offset = 0
     for kind in ALL_KINDS:
         acts = state.column_acts[kind]
@@ -314,21 +288,10 @@ def _backward_batch(
         g_rows[: len(g_rows) - absent.any()] = g_full[~absent]  # one row per present proposal
         if absent.any():
             g_rows[-1] = g_full[absent].sum(axis=0)
-        g_out = g_rows.reshape(out_shape)
-        layers = model.columns[kind]
-        start = model.reduce_start[kind] if freeze_columns else 0
-        sub_layers = layers[start:]
-        sub_acts = acts[start:]
-        pgrads, _ = backward(sub_layers, sub_acts, g_out)
-        flat = [g for layer_g in pgrads for g in layer_g]
-        if freeze_columns:
-            red_grads.extend(flat)
-        else:
-            nred = sum(len(l.params()) for l in layers[model.reduce_start[kind] :])
-            col_grads.extend(flat[: len(flat) - nred])
-            red_grads.extend(flat[len(flat) - nred :])
-    head_flat = [g for layer_g in head_grads for g in layer_g]
-    return col_grads, red_grads, head_flat
+        pgrads, _ = backward(model.columns[kind], acts, g_rows.reshape(out_shape))
+        grads.extend(g for layer_g in pgrads for g in layer_g)
+    grads.extend(g for layer_g in head_grads for g in layer_g)
+    return grads
 
 
 def score_proposals(
@@ -349,10 +312,10 @@ class TrainParams:
     weight_decay: float = 1e-4
     epochs: int = 12
     batch: int = 32
-    freeze_columns: bool = False
-    # per-batch face fraction is clamped to this band to stabilize the head
-    balance_min: float = 0.25
-    balance_max: float = 0.75
+
+
+# per-batch face fraction is clamped to this band to stabilize the head
+BALANCE_BAND = (0.25, 0.75)
 
 
 def train(
@@ -361,7 +324,6 @@ def train(
     images: dict[str, GrayImageF],
     params: TrainParams = TrainParams(),
     seed: int = 0,
-    cache: dict | None = None,
 ) -> list[float]:
     """Minibatch SGD on cross-entropy over labeled proposals.
 
@@ -377,16 +339,12 @@ def train(
             f"need both classes to train ({len(faces)} face, {len(nonfaces)} nonface)"
         )
     model.priors = build_priors(labeled)
-    if cache is None:
-        cache = {}
+    cache: dict = {}
     rng = np.random.Generator(np.random.PCG64(seed))
-    ratio = min(max(len(faces) / len(labeled), params.balance_min), params.balance_max)
+    ratio = min(max(len(faces) / len(labeled), BALANCE_BAND[0]), BALANCE_BAND[1])
     n_face = min(max(int(round(params.batch * ratio)), 1), params.batch - 1)
 
-    if params.freeze_columns:
-        trainable = model.reduce_params() + model.head_params()
-    else:
-        trainable = model.column_params() + model.reduce_params() + model.head_params()
+    trainable = model.params()
     velocity = [np.zeros_like(w) for w in trainable]
     labels = np.array([FACE_CLASS if lp.is_face else 1 - FACE_CLASS for lp in labeled])
     steps = max(1, math.ceil(len(labeled) / params.batch))
@@ -401,15 +359,10 @@ def train(
                 ]
             )
             batch = [labeled[i].proposal for i in pick]
-            y = labels[pick]
             probs, state = _forward_batch(model, batch, images, cache, training=True)
-            b = len(batch)
-            losses = -np.log(np.maximum(probs[np.arange(b), y], 1e-12))
-            epoch_loss += float(losses.mean())
-            gprobs = np.zeros_like(probs)
-            gprobs[np.arange(b), y] = -1.0 / np.maximum(probs[np.arange(b), y], 1e-12) / b
-            col_g, red_g, head_g = _backward_batch(model, state, gprobs, params.freeze_columns)
-            grads = (col_g if not params.freeze_columns else []) + red_g + head_g
+            loss, gprobs = xent(probs, labels[pick])
+            epoch_loss += loss
+            grads = _backward_batch(model, state, gprobs)
             sgd_step(trainable, grads, velocity, params.lr, params.momentum, params.weight_decay)
         trace.append(epoch_loss / steps)
     return trace

@@ -217,15 +217,16 @@ def backward(layers, acts, grad_out):
     return param_grads, g
 
 
-def xent_loss(probs: np.ndarray, label: int) -> float:
-    """-ln(probs[label]) with the probability clamped at 1e-12."""
-    return float(-np.log(max(float(probs[label]), 1e-12)))
+def xent(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy over a batch of rows, and its gradient w.r.t. probs.
 
-
-def xent_grad(probs: np.ndarray, label: int) -> np.ndarray:
-    g = np.zeros_like(probs)
-    g[label] = -1.0 / max(float(probs[label]), 1e-12)
-    return g
+    Each row's loss is -ln(probs[i, labels[i]]), the probability clamped at 1e-12.
+    """
+    b = len(probs)
+    p = np.maximum(probs[np.arange(b), labels], 1e-12)
+    grad = np.zeros_like(probs)
+    grad[np.arange(b), labels] = -1.0 / p / b
+    return float((-np.log(p)).mean()), grad
 
 
 def sgd_step(params, grads, velocity, lr: float, momentum: float = 0.0, weight_decay: float = 0.0):

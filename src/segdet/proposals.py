@@ -155,7 +155,6 @@ class LabeledProposal:
 
 
 def _subset_proposal(
-    members: list[SegmentDetection],
     picked: list[SegmentDetection],
     cluster_id: int,
     image_id: str,
@@ -202,7 +201,7 @@ def generate_proposals(
             for idx in rng.choice(len(subsets), size=take, replace=False):
                 chosen.append(subsets[int(idx)])
         for picked in chosen[:zeta]:
-            p = _subset_proposal(members, picked, ci, image_id, layout, box_mode)
+            p = _subset_proposal(picked, ci, image_id, layout, box_mode)
             key = (tuple(int(k) for k in p.kinds()), p.box.astuple())
             if key not in seen:
                 seen.add(key)

@@ -112,16 +112,14 @@ def test_criterion_2_subset_formula():
 
 
 def _probe_gradients(model, proposal, images, label, probes, prng, h=1e-5):
-    probs, state = dsf._forward_batch(model, [proposal], images)
-    g = np.zeros_like(probs)
-    g[0] = nn.xent_grad(probs[0], label)
-    cg, rg, hg = dsf._backward_batch(model, state, g, False)
-    analytic = cg + rg + hg
-    params = model.column_params() + model.reduce_params() + model.head_params()
+    probs, state = dsf._forward_batch(model, [proposal], images, training=True)
+    _, g = nn.xent(probs, [label])
+    analytic = dsf._backward_batch(model, state, g)
+    params = model.params()
 
     def loss():
         pr, _ = dsf._forward_batch(model, [proposal], images)
-        return nn.xent_loss(pr[0], label)
+        return nn.xent(pr, [label])[0]
 
     worst = 0.0
     for w, ga in zip(params, analytic):

@@ -24,14 +24,12 @@ class TestConfig:
             "seed = 42\n"
             "proposals.zeta = 5\n"
             "svm.lambda = 0.001\n"
-            "net.freeze_columns = true\n"
             "segments.layout = full\n"
         )
         cfg = parse_config(p)
         assert cfg.seed == 42
         assert cfg.proposals.zeta == 5
         assert cfg.svm.lam == 0.001
-        assert cfg.net.freeze_columns is True
         assert cfg.layout_scale == "full"
         assert cfg.layout().canonical[SegmentKind.NOSE] == (69, 81)
 
@@ -41,10 +39,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="zetta"):
             parse_config(p)
 
-    def test_range_violation_names_field(self, tmp_path):
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("proposals.zeta", "0"),
+            ("weak.scale_min", "0"),
+            ("weak.scale_min", "-1"),
+            ("synth.width", "0"),
+            ("synth.height", "0"),
+            ("synth.noise", "-1"),
+        ],
+        ids=["zeta", "scale_min_zero", "scale_min_negative", "width", "height", "noise"],
+    )
+    def test_range_violation_names_field(self, tmp_path, key, value):
         p = tmp_path / "run.cfg"
-        p.write_text("proposals.zeta = 0\n")
-        with pytest.raises(ConfigError, match="proposals.zeta"):
+        p.write_text(f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=key):
             parse_config(p)
 
     def test_layout_override_entry(self, tmp_path):
@@ -79,6 +89,13 @@ class TestCliExitCodes:
         p.write_text("proposals.zeta = 0\n")
         assert cli.main(["validate-config", "--config", str(p)]) == 2
         assert "proposals.zeta" in capsys.readouterr().err
+
+    def test_out_of_range_synth_size_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "run.cfg"
+        p.write_text("synth.width = 0\n")
+        assert cli.main(["synth", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "synth.width" in err and "Traceback" not in err
 
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["validate-config", "--config", str(tmp_path / "none.cfg")]) == 2

@@ -6,6 +6,7 @@ import pytest
 from segdet import deepsegface as dsf
 from segdet.errors import ConfigShapeError, DegenerateTrainingSetError
 from segdet.imaging import BoxI
+from segdet.neuralnet import xent
 from segdet.priors import rerank_multiplier
 from segdet.proposals import LabeledProposal, Proposal
 from segdet.segments import ALL_KINDS, SegmentDetection, SegmentKind, default_layout, kind_name
@@ -39,6 +40,11 @@ class TestConfigs:
         for k in ALL_KINDS:
             assert cfg.feature_grid(k) == TABLE_FEATURE_GRIDS[kind_name(k)]
             assert cfg.feature_channels == 512
+
+    def test_presets_take_dtype(self):
+        for scale in ("toy", "full"):
+            assert dsf.network_config(scale, None, "float32").dtype == "float32"
+            assert dsf.network_config(scale, None, "float64").dtype == "float64"
 
     def test_toy_ul12_flatten(self):
         cfg = dsf.toy_config()
@@ -223,24 +229,31 @@ class TestTraining:
         _, _, _, trace = trained_toy
         assert trace[-1] < trace[0]
 
-    def test_freeze_columns_keeps_column_parameters(self):
-        rng = np.random.default_rng(5)
-        images, labeled = tiny_setup(rng, n_images=3)
-        model = dsf.build_network(dsf.toy_config(LAYOUT, "float64"), seed=1, layout=LAYOUT)
-        before = [w.copy() for w in model.column_params()]
-        reduce_before = [w.copy() for w in model.reduce_params()]
-        dsf.train(
-            model,
-            labeled,
-            images,
-            dsf.TrainParams(lr=0.05, epochs=2, batch=6, freeze_columns=True),
-            seed=2,
-        )
-        for w, orig in zip(model.column_params(), before):
-            assert np.array_equal(w, orig)
-        assert any(
-            not np.array_equal(w, orig) for w, orig in zip(model.reduce_params(), reduce_before)
-        )
+    def test_batch_gradient_is_mean_of_single_gradients(self):
+        # a repeated proposal and kinds absent from different proposals: the
+        # zero row's gradient sums over its proposals, the batch takes a 1/b mean
+        rng = np.random.default_rng(12)
+        images = {"im": gray(rng.uniform(0.0, 1.0, (110, 150)))}
+        face = BoxI(30, 20, 70, 70)
+
+        def proposal(kinds):
+            return Proposal({k: SegmentDetection(k, LAYOUT.segment_box(face, k), 1.0) for k in kinds}, face, 0, "im")
+
+        a = proposal([SegmentKind.L12, SegmentKind.R12, SegmentKind.U12])
+        b = proposal([SegmentKind.L12, SegmentKind.NOSE, SegmentKind.EYE])
+        c = proposal([SegmentKind.R12, SegmentKind.EYE, SegmentKind.UL34])
+        batch, labels = [a, b, a, c], np.array([0, 1, 0, 1])
+        model = dsf.build_network(dsf.toy_config(LAYOUT, "float64"), seed=5, layout=LAYOUT)
+
+        def grads(props, y):
+            probs, state = dsf._forward_batch(model, props, images, training=True)
+            return dsf._backward_batch(model, state, xent(probs, y)[1])
+
+        batched = grads(batch, labels)
+        singles = [grads([p], labels[i : i + 1]) for i, p in enumerate(batch)]
+        assert len(batched) == len(model.params())
+        for i, g in enumerate(batched):
+            assert np.allclose(g, sum(s[i] for s in singles) / len(batch), rtol=1e-9, atol=0.0)
 
     def test_identical_seeds_identical_traces(self):
         rng = np.random.default_rng(6)

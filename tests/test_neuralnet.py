@@ -16,8 +16,7 @@ from segdet.neuralnet import (
     backward,
     forward,
     sgd_step,
-    xent_grad,
-    xent_loss,
+    xent,
 )
 
 
@@ -26,8 +25,7 @@ def numeric_grads(layers, x, label, params, h=1e-5, probe=12, seed=0):
     rng = np.random.default_rng(seed)
 
     def loss():
-        probs = forward(layers, x)[-1]
-        return xent_loss(probs[0], label)
+        return xent(forward(layers, x)[-1], [label])[0]
 
     out = []
     for w in params:
@@ -48,8 +46,7 @@ def numeric_grads(layers, x, label, params, h=1e-5, probe=12, seed=0):
 
 def assert_gradcheck(layers, x, label=0, tol=1e-4, seed=0):
     acts = forward(layers, x)
-    g = np.zeros_like(acts[-1])
-    g[0] = xent_grad(acts[-1][0], label)
+    _, g = xent(acts[-1], [label])
     pgrads, _ = backward(layers, acts, g)
     params = [w for layer in layers for w in layer.params()]
     analytic = [gr for layer_g in pgrads for gr in layer_g]
@@ -147,17 +144,16 @@ class TestGradients:
         layers = [Conv2D(1, 2, 3, "same", rng=rng), Flatten(), FC(2 * 4 * 4, 2, rng=rng), Softmax()]
         x = rng.normal(size=(1, 1, 4, 4))
         acts = forward(layers, x)
-        g = np.zeros_like(acts[-1])
-        g[0] = xent_grad(acts[-1][0], 0)
+        _, g = xent(acts[-1], [0])
         _, gx = backward(layers, acts, g)
         h = 1e-5
         for _ in range(10):
             i = tuple(int(v) for v in (0, 0, rng.integers(4), rng.integers(4)))
             orig = x[i]
             x[i] = orig + h
-            lp = xent_loss(forward(layers, x)[-1][0], 0)
+            lp = xent(forward(layers, x)[-1], [0])[0]
             x[i] = orig - h
-            lm = xent_loss(forward(layers, x)[-1][0], 0)
+            lm = xent(forward(layers, x)[-1], [0])[0]
             x[i] = orig
             fd = (lp - lm) / (2 * h)
             assert abs(fd - gx[i]) / max(abs(fd), abs(gx[i]), 1e-8) < 1e-4
@@ -199,12 +195,18 @@ class TestSGD:
 
 class TestXent:
     def test_certain_correct(self):
-        assert xent_loss(np.array([1.0, 0.0]), 0) == 0.0
+        assert xent(np.array([[1.0, 0.0]]), [0])[0] == 0.0
 
     def test_symmetric(self):
-        assert xent_loss(np.array([0.5, 0.5]), 1) == pytest.approx(math.log(2), abs=1e-9)
+        assert xent(np.array([[0.5, 0.5]]), [1])[0] == pytest.approx(math.log(2), abs=1e-9)
 
     def test_clamp(self):
         eps = 1e-12
-        loss = xent_loss(np.array([eps / 10, 1.0 - eps / 10]), 0)
+        loss, grad = xent(np.array([[eps / 10, 1.0 - eps / 10]]), [0])
         assert loss == pytest.approx(-math.log(eps), rel=1e-6)  # ~27.6
+        assert grad[0, 0] == pytest.approx(-1.0 / eps, rel=1e-6)
+
+    def test_batch_mean_and_gradient(self):
+        loss, grad = xent(np.array([[0.5, 0.5], [0.25, 0.75]]), np.array([1, 0]))
+        assert loss == pytest.approx((math.log(2) + math.log(4)) / 2, abs=1e-12)
+        assert np.array_equal(grad, [[0.0, -1.0], [-2.0, 0.0]])

@@ -302,7 +302,7 @@ def cmd_train_deepsegface(cfg: RunConfig, args, base: Path) -> int:
 def _detect_with_model(cfg, args, annotations, images, detectors, model, layout):
     """Full chain per image: segments -> proposals -> argmax scoring.
 
-    The patch/HoG cache is keyed by image, so each image gets a fresh one.
+    SegFace's HoG cache is keyed by image, so each image gets a fresh one.
     """
     rows = []
     by_image = {}
@@ -315,15 +315,15 @@ def _detect_with_model(cfg, args, annotations, images, detectors, model, layout)
         if not plist:
             rows.append((a.path, None))
             continue
-        cache: dict = {}
         if args.model == "segface":
+            cache: dict = {}
             scores = [
                 segface.score_proposal_segface(p, model, images[a.path], cache) for p in plist
             ]
             best = int(np.argmax(scores))
             rows.append((a.path, (plist[best].box, float(scores[best]))))
         else:
-            rows.append((a.path, dsf.detect(model, images[a.path], plist, cache)))
+            rows.append((a.path, dsf.detect(model, images[a.path], plist)))
     return rows, by_image
 
 

@@ -219,9 +219,10 @@ def validate_config(cfg: RunConfig) -> None:
     need(cfg.proposals.box_mode in ("segments", "implied"), "proposals.box_mode", "must be 'segments' or 'implied'")
     need(cfg.weak.rounds >= 1, "weak.rounds", "must be >= 1")
     need(cfg.weak.stride >= 1, "weak.stride", "must be >= 1")
-    need(cfg.weak.scale_min > 0, "weak.scale_min", "must be positive")
+    # a rung at scale s holds 1/s^2 of the frame's pixels: at most 16x here
+    need(cfg.weak.scale_min >= 0.25, "weak.scale_min", "must be >= 0.25")
     need(cfg.weak.scale_factor > 1.0, "weak.scale_factor", "pyramid rung factor must exceed 1")
-    need(cfg.weak.scale_count >= 1, "weak.scale_count", "must be >= 1")
+    need(1 <= cfg.weak.scale_count <= 64, "weak.scale_count", "must be in [1, 64]")
     need(0.0 < cfg.weak.window_scale <= 1.0, "weak.window_scale", "must be in (0, 1]")
     need(cfg.svm.lam > 0, "svm.lambda", "must be positive")
     need(cfg.svm.epochs >= 1, "svm.epochs", "must be >= 1")

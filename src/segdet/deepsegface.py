@@ -2,15 +2,15 @@
 reduction, concatenation, a fully connected + softmax head, and prior-based
 re-ranking of the face probability.
 
-Missing segments feed an exactly-zero input into their column (applied after
-mean subtraction). Each column runs once on a batch's distinct input rows and
-every proposal reads its output row through a row map. Absent entries share one
-zero row, whose output (and summed gradient) stands in for all of them; at
-inference, proposals holding the same segment (source image and box) share its
-row as well. An identical box gives an identical input, and a column's output
+Training and inference share one row rule. The column inputs of a proposal
+list form one table per kind: one row per distinct present segment (source
+image, kind, box), then one exactly-zero row (applied after mean subtraction)
+if some proposal lacks the kind. A batch is each proposal's row per kind; each
+column runs once on the batch's distinct rows and every proposal reads its
+output row. An identical box gives an identical input, and a column's output
 row depends only on its input row, so sharing is bit-identical to evaluating
-each proposal alone. Training keeps one row per present proposal, so gradients
-keep the float order of per-row evaluation.
+each proposal alone. Backward sums the gradients of the proposals that read a
+row, the zero row included.
 """
 
 from __future__ import annotations
@@ -197,40 +197,19 @@ def build_network(config: NetworkConfig, seed: int | None = 0, layout: SegmentLa
 FACE_CLASS = 0  # softmax output index for "face"
 
 
-def _input_tensor(model: DeepSegFaceModel, det, image: GrayImageF, cache: dict | None, image_id: str) -> np.ndarray:
-    """Canonical-size mean-subtracted patch for one present segment."""
-    cfg = model.config
-    key = (image_id, int(det.kind), det.box.astuple())
-    if cache is not None and key in cache:
-        patch = cache[key]
-    else:
-        h, w = cfg.inputs[det.kind]
-        patch = extract_patch(image, det.box, h, w).data
-        if cache is not None:
-            cache[key] = patch
-    x = (patch - cfg.mean_pixel / 255.0).astype(cfg.dtype, copy=False)
-    if cfg.channels == 1:
-        return x[None, :, :]
-    return np.repeat(x[None, :, :], cfg.channels, axis=0)
+@dataclass
+class _SegmentRows:
+    """The column inputs of a proposal list, one table per kind."""
+
+    inputs: dict[SegmentKind, np.ndarray]  # (rows, channels, h, w)
+    ids: dict[SegmentKind, np.ndarray]  # each proposal's row
 
 
-class _BatchState:
-    """Bookkeeping for one batched forward pass (used again by backward)."""
-
-    def __init__(self):
-        self.column_acts: dict[SegmentKind, list] = {}
-        self.absent: dict[SegmentKind, np.ndarray] = {}
-        self.head_acts: list = []
-
-
-def _column_rows(batch: list[Proposal], kind: SegmentKind, training: bool):
-    """(row_of, firsts): proposal i's column input row, and a proposal holding
-    each present row. Rows are keyed by proposal in training, else by segment
-    (source image, box); absent proposals map to the zero row, len(firsts)."""
-    keys = [
-        None if kind not in p.segments else i if training else (p.source_image, p.segments[kind].box.astuple())
-        for i, p in enumerate(batch)
-    ]
+def _column_rows(proposals: list[Proposal], kind: SegmentKind):
+    """(row_of, firsts): proposal i's row, keyed by its segment's (source
+    image, box), and a proposal holding each present row; proposals lacking
+    the kind map to the zero row, len(firsts)."""
+    keys = [(p.source_image, p.segments[kind].box.astuple()) if kind in p.segments else None for p in proposals]
     rows: dict = {}
     firsts: list[int] = []
     for i, key in enumerate(keys):
@@ -240,68 +219,74 @@ def _column_rows(batch: list[Proposal], kind: SegmentKind, training: bool):
     return np.array([rows.get(key, len(firsts)) for key in keys], dtype=np.intp), firsts
 
 
-def _forward_batch(
-    model: DeepSegFaceModel,
-    batch: list[Proposal],
-    images: dict[str, GrayImageF],
-    cache: dict | None = None,
-    training: bool = False,
-) -> tuple[np.ndarray, _BatchState]:
-    """Probabilities (N, classes) for a batch of proposals.
+def _segment_rows(model: DeepSegFaceModel, proposals: list[Proposal], images: dict[str, GrayImageF]) -> _SegmentRows:
+    """Canonical-size, mean-subtracted patches, one per distinct present
+    segment, then a zero row for a kind that some proposal lacks."""
+    cfg = model.config
+    inputs, ids = {}, {}
+    for kind in ALL_KINDS:
+        h, w = cfg.inputs[kind]
+        row_of, firsts = _column_rows(proposals, kind)
+        x = np.zeros((len(firsts) + (row_of == len(firsts)).any(), cfg.channels, h, w), dtype=cfg.dtype)
+        for r, i in enumerate(firsts):
+            p = proposals[i]
+            patch = extract_patch(images[p.source_image], p.segments[kind].box, h, w).data
+            x[r] = (patch - cfg.mean_pixel / 255.0).astype(cfg.dtype, copy=False)  # broadcast over channels
+        inputs[kind], ids[kind] = x, row_of
+    return _SegmentRows(inputs, ids)
 
-    `training` keeps one column row per present proposal, which
-    `_backward_batch` needs; otherwise proposals share rows by segment.
-    """
+
+class _BatchState:
+    """Bookkeeping for one batched forward pass (used again by backward)."""
+
+    def __init__(self):
+        self.column_acts: dict[SegmentKind, list] = {}
+        self.row_of: dict[SegmentKind, np.ndarray] = {}
+        self.head_acts: list = []
+
+
+def _forward_batch(
+    model: DeepSegFaceModel, rows: _SegmentRows, pick: np.ndarray | None = None
+) -> tuple[np.ndarray, _BatchState]:
+    """Probabilities (N, classes) for the proposals `pick` of a row table
+    (all of them by default). Each column runs once on the batch's distinct
+    rows, and every proposal reads its output row."""
     cfg = model.config
     state = _BatchState()
     parts = []
     for kind in ALL_KINDS:
-        h, w = cfg.inputs[kind]
-        row_of, firsts = _column_rows(batch, kind, training)
-        absent = row_of == len(firsts)
-        x = np.zeros((len(firsts) + absent.any(), cfg.channels, h, w), dtype=cfg.dtype)
-        for r, i in enumerate(firsts):
-            p = batch[i]
-            x[r] = _input_tensor(model, p.segments[kind], images[p.source_image], cache, p.source_image)
-        acts = forward(model.columns[kind], x)
+        ids = rows.ids[kind] if pick is None else rows.ids[kind][pick]
+        used, row_of = np.unique(ids, return_inverse=True)
+        acts = forward(model.columns[kind], rows.inputs[kind][used])
         state.column_acts[kind] = acts
-        state.absent[kind] = absent
-        parts.append(acts[-1].reshape(len(x), cfg.flatten_size(kind))[row_of])
+        state.row_of[kind] = row_of
+        parts.append(acts[-1].reshape(len(used), cfg.flatten_size(kind))[row_of])
     concat = np.concatenate(parts, axis=1)
     state.head_acts = forward(model.head, concat)
     return state.head_acts[-1], state
 
 
 def _backward_batch(model: DeepSegFaceModel, state: _BatchState, grad_probs: np.ndarray) -> list[np.ndarray]:
-    """Parameter gradients aligned with `model.params()`, for a `training` forward."""
+    """Parameter gradients aligned with `model.params()`. A column row's
+    gradient is the sum over the proposals that read it."""
     head_grads, grad_concat = backward(model.head, state.head_acts, grad_probs)
     grads: list[np.ndarray] = []
     offset = 0
     for kind in ALL_KINDS:
         acts = state.column_acts[kind]
-        out_shape = acts[-1].shape
         fsize = model.config.flatten_size(kind)
-        g_full = grad_concat[:, offset : offset + fsize]
+        g_rows = np.zeros((len(acts[-1]), fsize), dtype=grad_concat.dtype)
+        np.add.at(g_rows, state.row_of[kind], grad_concat[:, offset : offset + fsize])
         offset += fsize
-        absent = state.absent[kind]
-        g_rows = np.zeros((out_shape[0], fsize), dtype=g_full.dtype)
-        g_rows[: len(g_rows) - absent.any()] = g_full[~absent]  # one row per present proposal
-        if absent.any():
-            g_rows[-1] = g_full[absent].sum(axis=0)
-        pgrads, _ = backward(model.columns[kind], acts, g_rows.reshape(out_shape))
+        pgrads, _ = backward(model.columns[kind], acts, g_rows.reshape(acts[-1].shape))
         grads.extend(g for layer_g in pgrads for g in layer_g)
     grads.extend(g for layer_g in head_grads for g in layer_g)
     return grads
 
 
-def score_proposals(
-    model: DeepSegFaceModel,
-    proposals: list[Proposal],
-    images: dict[str, GrayImageF],
-    cache: dict | None = None,
-) -> np.ndarray:
+def score_proposals(model: DeepSegFaceModel, proposals: list[Proposal], images: dict[str, GrayImageF]) -> np.ndarray:
     """Face probabilities for many proposals, in one batch."""
-    probs, _ = _forward_batch(model, proposals, images, cache)
+    probs, _ = _forward_batch(model, _segment_rows(model, proposals, images))
     return probs[:, FACE_CLASS].astype(np.float64)
 
 
@@ -339,7 +324,7 @@ def train(
             f"need both classes to train ({len(faces)} face, {len(nonfaces)} nonface)"
         )
     model.priors = build_priors(labeled)
-    cache: dict = {}
+    rows = _segment_rows(model, [lp.proposal for lp in labeled], images)
     rng = np.random.Generator(np.random.PCG64(seed))
     ratio = min(max(len(faces) / len(labeled), BALANCE_BAND[0]), BALANCE_BAND[1])
     n_face = min(max(int(round(params.batch * ratio)), 1), params.batch - 1)
@@ -358,8 +343,7 @@ def train(
                     rng.choice(np.array(nonfaces), size=params.batch - n_face, replace=True),
                 ]
             )
-            batch = [labeled[i].proposal for i in pick]
-            probs, state = _forward_batch(model, batch, images, cache, training=True)
+            probs, state = _forward_batch(model, rows, pick)
             loss, gprobs = xent(probs, labels[pick])
             epoch_loss += loss
             grads = _backward_batch(model, state, gprobs)
@@ -377,13 +361,14 @@ def detect(
     """Re-ranked argmax detection: score = p_face * prior multiplier.
 
     Returns (box, score) of the winning proposal, or None without proposals.
+    `cache` is unused; it keeps the signature callers already pass.
     """
     if not proposals:
         return None
     if model.priors is None:
         raise DegenerateTrainingSetError("model has no priors; train or load before detecting")
     images = {p.source_image: image for p in proposals}
-    pface = score_proposals(model, proposals, images, cache)
+    pface = score_proposals(model, proposals, images)
     scores = pface * np.array([rerank_multiplier(p, model.priors) for p in proposals])
     best = int(np.argmax(scores))
     return proposals[best].box, float(scores[best])

@@ -9,6 +9,7 @@ functions over the observed score set, no binning.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -74,12 +75,18 @@ def _sweep(results: list[ImageResult]) -> list[CurvePoint]:
         else:
             fas.append(score)
     thresholds = [math.inf] + sorted({*hits, *misses, *fas}, reverse=True) + [-math.inf]
+    hits, misses, fas = sorted(hits), sorted(misses), sorted(fas)
+
+    def at_least(scores, t):  # how many of the sorted scores are >= t
+        return len(scores) - bisect.bisect_left(scores, t)
+
     points = []
     for t in thresholds:
-        tp = sum(1 for s in hits if s >= t)
-        fp = sum(1 for s in misses if s >= t) + sum(1 for s in fas if s >= t)
+        tp = at_least(hits, t)
+        fa = at_least(fas, t)
+        fp = at_least(misses, t) + fa
         tar = tp / n_truth if n_truth else 0.0
-        far = sum(1 for s in fas if s >= t) / n_neg if n_neg else 0.0
+        far = fa / n_neg if n_neg else 0.0
         precision = tp / (tp + fp) if (tp + fp) > 0 else 1.0
         points.append(CurvePoint(t, tar, far, precision, tar))
     return points

@@ -112,13 +112,14 @@ def test_criterion_2_subset_formula():
 
 
 def _probe_gradients(model, proposal, images, label, probes, prng, h=1e-5):
-    probs, state = dsf._forward_batch(model, [proposal], images, training=True)
+    rows = dsf._segment_rows(model, [proposal], images)
+    probs, state = dsf._forward_batch(model, rows)
     _, g = nn.xent(probs, [label])
     analytic = dsf._backward_batch(model, state, g)
     params = model.params()
 
     def loss():
-        pr, _ = dsf._forward_batch(model, [proposal], images)
+        pr, _ = dsf._forward_batch(model, rows)
         return nn.xent(pr, [label])[0]
 
     worst = 0.0

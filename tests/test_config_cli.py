@@ -48,8 +48,10 @@ class TestConfig:
             ("synth.width", "0"),
             ("synth.height", "0"),
             ("synth.noise", "-1"),
+            ("weak.scale_min", "0.0001"),
+            ("weak.scale_count", "5000"),
         ],
-        ids=["zeta", "scale_min_zero", "scale_min_negative", "width", "height", "noise"],
+        ids=["zeta", "scale_min_zero", "scale_min_negative", "width", "height", "noise", "scale_min_tiny", "scale_count_huge"],
     )
     def test_range_violation_names_field(self, tmp_path, key, value):
         p = tmp_path / "run.cfg"
@@ -195,9 +197,8 @@ def test_detect_cache_entries_do_not_outlive_their_image(monkeypatch, model):
     monkeypatch.setattr(
         cli.segface, "score_proposal_segface", lambda p, model, image, cache: score(p, cache)
     )
-    monkeypatch.setattr(
-        cli.dsf, "detect", lambda model, image, plist, cache: (plist[0].box, score(plist[0], cache))
-    )
+    # DeepSegFace builds its inputs per call: the CLI passes it no cache
+    monkeypatch.setattr(cli.dsf, "detect", lambda model, image, plist: (plist[0].box, score(plist[0], {})))
     annotations = [Annotation(f"img_{i}", None) for i in range(3)]
     images = {a.path: None for a in annotations}
     args = SimpleNamespace(model=model)

@@ -99,16 +99,21 @@ def trained_toy():
     return model, images, labeled, trace
 
 
+def forward(model, batch, images):
+    """(probabilities, batch state) of a proposal list in one batch."""
+    return dsf._forward_batch(model, dsf._segment_rows(model, batch, images))
+
+
 def face_prob(model, proposal, images):
     """p_face of one proposal scored alone."""
-    probs, _ = dsf._forward_batch(model, [proposal], images)
+    probs, _ = forward(model, [proposal], images)
     return probs[0, dsf.FACE_CLASS]
 
 
 class TestForward:
     def test_probabilities_sum_to_one(self, trained_toy):
         model, images, labeled, _ = trained_toy
-        probs, _ = dsf._forward_batch(model, [lp.proposal for lp in labeled[:4]], images)
+        probs, _ = forward(model, [lp.proposal for lp in labeled[:4]], images)
         assert probs.sum(axis=1) == pytest.approx(1.0, abs=1e-6)
         assert ((probs >= 0.0) & (probs <= 1.0)).all()
 
@@ -120,8 +125,8 @@ class TestForward:
     def test_batch_composition_does_not_change_result(self, trained_toy):
         # the shared zero-row stands in for absent rows exactly
         model, images, labeled, _ = trained_toy
-        alone, one = dsf._forward_batch(model, [labeled[0].proposal], images)
-        mixed, five = dsf._forward_batch(model, [lp.proposal for lp in labeled[:5]], images)
+        alone, one = forward(model, [labeled[0].proposal], images)
+        mixed, five = forward(model, [lp.proposal for lp in labeled[:5]], images)
         assert np.array_equal(one.head_acts[0][0], five.head_acts[0][0])
         # a one-row head product runs BLAS's matrix-vector kernel, which may
         # round differently from the matrix-matrix kernel of a larger batch
@@ -180,9 +185,9 @@ class TestSharedRows:
     def test_shared_rows_score_each_proposal_exactly(self, monkeypatch, dtype):
         images, batch = shared_segment_batch()
         model = dsf.build_network(dsf.toy_config(LAYOUT, dtype), seed=8, layout=LAYOUT)
-        own_rows, _ = dsf._forward_batch(model, batch, images, training=True)
+        alone = np.stack([forward(model, [p], images)[1].head_acts[0][0] for p in batch])
         seen = count_column_rows(monkeypatch, model)
-        probs, state = dsf._forward_batch(model, batch, images)
+        probs, state = forward(model, batch, images)
         # the comparison covers shared rows: each column ran on fewer rows
         # than the batch holds segments of its kind
         for kind in SHARED_KINDS:
@@ -190,14 +195,12 @@ class TestSharedRows:
             assert shared_rows(batch, kind) < sum(kind in p.segments for p in batch)
         # each proposal's head input is exactly the one it gets scored alone
         concat = state.head_acts[0]
-        for i, p in enumerate(batch):
-            _, alone = dsf._forward_batch(model, [p], images)
-            assert np.array_equal(concat[i], alone.head_acts[0][0])
+        assert np.array_equal(concat, alone)
         # the same boxes in the two images hold different pixels
         assert not np.array_equal(concat[0], concat[len(batch) // 2])
-        # and its probabilities are those of one column row per proposal
-        assert np.array_equal(probs, own_rows)
-        assert np.array_equal(dsf.score_proposals(model, batch, images), own_rows[:, dsf.FACE_CLASS].astype(np.float64))
+        # and its probabilities are the head's on those inputs
+        assert np.array_equal(probs, dsf.forward(model.head, alone)[-1])
+        assert np.array_equal(dsf.score_proposals(model, batch, images), probs[:, dsf.FACE_CLASS].astype(np.float64))
 
     def test_column_row_counts(self, monkeypatch):
         images, batch = shared_segment_batch()
@@ -206,22 +209,35 @@ class TestSharedRows:
         dsf.score_proposals(model, batch, images)
         assert seen == {kind: [shared_rows(batch, kind)] for kind in ALL_KINDS}
 
-        # training keeps one row per present proposal, repeats included
+        # training batches share rows by the same rule, repeats included
         train_images, labeled = tiny_setup(np.random.default_rng(3), n_images=2)
         batches = []
         forward_batch = dsf._forward_batch
 
-        def recorded(model, batch, *args, **kwargs):
-            batches.append(batch)
-            return forward_batch(model, batch, *args, **kwargs)
+        def recorded(model, rows, pick):
+            batches.append([labeled[i].proposal for i in pick])
+            return forward_batch(model, rows, pick)
 
         monkeypatch.setattr(dsf, "_forward_batch", recorded)
         seen = count_column_rows(monkeypatch, model)
         dsf.train(model, labeled, train_images, dsf.TrainParams(epochs=1, batch=6), seed=4)
         assert any(len({id(p) for p in b}) < len(b) for b in batches)
-        for kind in ALL_KINDS:
-            want = [sum(kind in p.segments for p in b) + any(kind not in p.segments for p in b) for b in batches]
-            assert seen[kind] == want
+        assert seen == {kind: [shared_rows(b, kind) for b in batches] for kind in ALL_KINDS}
+
+    def test_training_extracts_each_segment_once(self, monkeypatch):
+        images, labeled = tiny_setup(np.random.default_rng(3), n_images=2)
+        calls = []
+        extract = dsf.extract_patch
+
+        def counted(image, box, h, w):
+            calls.append((id(image), box, h, w))
+            return extract(image, box, h, w)
+
+        monkeypatch.setattr(dsf, "extract_patch", counted)
+        model = dsf.build_network(dsf.toy_config(LAYOUT, "float64"), seed=8, layout=LAYOUT)
+        dsf.train(model, labeled, images, dsf.TrainParams(epochs=2, batch=6), seed=4)
+        segments = {(lp.proposal.source_image, kind, d.box) for lp in labeled for kind, d in lp.proposal.segments.items()}
+        assert len(set(calls)) == len(calls) <= len(segments)
 
 
 class TestTraining:
@@ -246,7 +262,7 @@ class TestTraining:
         model = dsf.build_network(dsf.toy_config(LAYOUT, "float64"), seed=5, layout=LAYOUT)
 
         def grads(props, y):
-            probs, state = dsf._forward_batch(model, props, images, training=True)
+            probs, state = forward(model, props, images)
             return dsf._backward_batch(model, state, xent(probs, y)[1])
 
         batched = grads(batch, labels)

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import deepsegface as dsf
 from . import evaluate, proposals as props, segface, store, synth, weakdet
-from .config import RunConfig, parse_config, validate_config
-from .errors import ConfigError, MissingInputError, SegdetError
+from .config import RunConfig, parse_config
+from .errors import ConfigError, MissingInputError, ParseError, SegdetError
 from .imaging import BoxI, GrayImageF, load_image, resize_bilinear, to_gray
 from .segments import ALL_KINDS, SegmentLayout, kind_name
 from .seeding import derive_seed
@@ -167,21 +167,17 @@ def load_faces(path) -> dict[str, tuple[BoxI, float] | None]:
 # --- commands ------------------------------------------------------------------
 
 
-def _dirs(cfg: RunConfig, base: Path, out_override: str | None = None):
-    data = Path(out_override) if out_override else base / cfg.paths.data
-    models = base / cfg.paths.models
-    reports = base / cfg.paths.reports
-    return data, models, reports
+def _dirs(cfg: RunConfig, base: Path):
+    return base / cfg.paths.data, base / cfg.paths.models, base / cfg.paths.reports
 
 
 def cmd_validate_config(cfg: RunConfig, args, base: Path) -> int:
-    validate_config(cfg)
-    print("config ok")
+    print("config ok")  # parse_config has already range-checked every key
     return 0
 
 
 def cmd_synth(cfg: RunConfig, args, base: Path) -> int:
-    data, _, _ = _dirs(cfg, base, args.out)
+    data, _, _ = _dirs(cfg, base)
     for split, count in (("train", cfg.synth.train_count), ("test", cfg.synth.test_count)):
         spec = cfg.synth.spec(count, derive_seed(cfg.seed, "synth", split))
         synth.synth_generate(spec, data / split)
@@ -191,8 +187,6 @@ def cmd_synth(cfg: RunConfig, args, base: Path) -> int:
 
 def cmd_train_weak(cfg: RunConfig, args, base: Path) -> int:
     data, models, _ = _dirs(cfg, base)
-    if args.out:
-        models = Path(args.out)
     annotations, images = load_split(data, "train")
     detectors = train_weak_detectors(annotations, images, cfg.layout(), cfg)
     models.mkdir(parents=True, exist_ok=True)
@@ -203,8 +197,6 @@ def cmd_train_weak(cfg: RunConfig, args, base: Path) -> int:
 
 def cmd_detect_segments(cfg: RunConfig, args, base: Path) -> int:
     data, models, reports = _dirs(cfg, base)
-    if args.out:
-        reports = Path(args.out)
     detectors = weakdet.load_detectors(_require(models / "weakdet.txt", "weak detector model"))
     annotations, images = load_split(data, args.split)
     by_image = {}
@@ -222,8 +214,6 @@ def cmd_detect_segments(cfg: RunConfig, args, base: Path) -> int:
 
 def cmd_gen_proposals(cfg: RunConfig, args, base: Path) -> int:
     data, _, reports = _dirs(cfg, base)
-    if args.out:
-        reports = Path(args.out)
     det_path = _require(reports / f"detections_{args.split}.csv", "detections file")
     dets_by_image = weakdet.import_detections(det_path)
     annotations = synth.load_annotations(
@@ -249,8 +239,6 @@ def _load_labeled_proposals(reports: Path, split: str):
 
 def cmd_train_segface(cfg: RunConfig, args, base: Path) -> int:
     data, models, reports = _dirs(cfg, base)
-    if args.out:
-        models = Path(args.out)
     by_image = _load_labeled_proposals(reports, "train")
     _, images = load_split(data, "train")
     labeled = [lp for a_path in by_image for lp in by_image[a_path]]
@@ -271,8 +259,6 @@ def cmd_train_segface(cfg: RunConfig, args, base: Path) -> int:
 
 def cmd_train_deepsegface(cfg: RunConfig, args, base: Path) -> int:
     data, models, reports = _dirs(cfg, base)
-    if args.out:
-        models = Path(args.out)
     by_image = _load_labeled_proposals(reports, "train")
     _, images = load_split(data, "train")
     labeled = [lp for a_path in by_image for lp in by_image[a_path]]
@@ -299,11 +285,9 @@ def cmd_train_deepsegface(cfg: RunConfig, args, base: Path) -> int:
     return 0
 
 
-def _detect_with_model(cfg, args, annotations, images, detectors, model, layout):
-    """Full chain per image: segments -> proposals -> argmax scoring.
-
-    SegFace's HoG cache is keyed by image, so each image gets a fresh one.
-    """
+def _detect_with_model(cfg, detect, annotations, images, detectors, model, layout):
+    """Full chain per image: segments -> proposals -> the classifier's
+    `detect(model, image, proposals)`, which returns (box, score) or None."""
     rows = []
     by_image = {}
     for a in annotations:
@@ -312,35 +296,17 @@ def _detect_with_model(cfg, args, annotations, images, detectors, model, layout)
         )
         plist = proposals_for_image(dets, layout, cfg, a.path)
         by_image[a.path] = props.label_proposals(plist, a.face)
-        if not plist:
-            rows.append((a.path, None))
-            continue
-        if args.model == "segface":
-            cache: dict = {}
-            scores = [
-                segface.score_proposal_segface(p, model, images[a.path], cache) for p in plist
-            ]
-            best = int(np.argmax(scores))
-            rows.append((a.path, (plist[best].box, float(scores[best]))))
-        else:
-            rows.append((a.path, dsf.detect(model, images[a.path], plist)))
+        rows.append((a.path, detect(model, images[a.path], plist)))
     return rows, by_image
 
 
 def cmd_detect(cfg: RunConfig, args, base: Path) -> int:
     data, models, reports = _dirs(cfg, base)
-    if args.out:
-        reports = Path(args.out)
     detectors = weakdet.load_detectors(_require(models / "weakdet.txt", "weak detector model"))
-    layout = cfg.layout()
-    if args.model == "segface":
-        model = segface.load_segface(_require(models / "segface.txt", "segface model"))
-    elif args.model == "deepsegface":
-        model = dsf.load_deepsegface(_require(models / "deepsegface.txt", "deepsegface model"))
-    else:
-        raise ConfigError(f"--model must be 'segface' or 'deepsegface', got {args.model!r}")
+    clf, load = (segface, segface.load_segface) if args.model == "segface" else (dsf, dsf.load_deepsegface)
+    model = load(_require(models / f"{args.model}.txt", f"{args.model} model"))
     annotations, images = load_split(data, args.split)
-    rows, by_image = _detect_with_model(cfg, args, annotations, images, detectors, model, layout)
+    rows, by_image = _detect_with_model(cfg, clf.detect, annotations, images, detectors, model, cfg.layout())
     reports.mkdir(parents=True, exist_ok=True)
     faces_path = reports / f"faces_{args.model}_{args.split}.csv"
     save_faces(rows, faces_path)
@@ -352,17 +318,17 @@ def cmd_detect(cfg: RunConfig, args, base: Path) -> int:
 
 def cmd_eval(cfg: RunConfig, args, base: Path) -> int:
     data, _, reports = _dirs(cfg, base)
-    out_dir = Path(args.out) if args.out else reports / f"eval_{args.model}_{args.split}"
+    out_dir = reports / f"eval_{args.model}_{args.split}"
     annotations = synth.load_annotations(
         _require(data / args.split / "annotations.csv", "annotations file")
     )
-    faces = load_faces(
-        _require(reports / f"faces_{args.model}_{args.split}.csv", "faces file")
-    )
+    faces_path = _require(reports / f"faces_{args.model}_{args.split}.csv", "faces file")
+    faces = load_faces(faces_path)
+    missing = [a.path for a in annotations if a.path not in faces]
+    if missing:
+        raise ParseError(f"{faces_path}: no row for image {missing[0]} ({len(missing)} missing)")
     by_image = _load_labeled_proposals(reports, args.split)
-    results = [
-        evaluate.ImageResult(a.path, a.face, faces.get(a.path)) for a in annotations
-    ]
+    results = [evaluate.ImageResult(a.path, a.face, faces[a.path]) for a in annotations]
     points = evaluate.roc_curve(results)
     tar = evaluate.tar_at_far(results, cfg.eval.far_target)
     recall = evaluate.recall_at_precision(results, cfg.eval.prec_target)
@@ -418,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="run-config file")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--out", default=None, help="override the command's output directory")
         if name in ("detect-segments", "gen-proposals", "detect", "eval"):
             p.add_argument("--split", default="test", choices=("train", "test"))
         if name in ("detect", "eval"):

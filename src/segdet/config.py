@@ -221,7 +221,8 @@ def validate_config(cfg: RunConfig) -> None:
     need(cfg.weak.stride >= 1, "weak.stride", "must be >= 1")
     # a rung at scale s holds 1/s^2 of the frame's pixels: at most 16x here
     need(cfg.weak.scale_min >= 0.25, "weak.scale_min", "must be >= 0.25")
-    need(cfg.weak.scale_factor > 1.0, "weak.scale_factor", "pyramid rung factor must exceed 1")
+    # with scale_count <= 64, scale_factor**63 <= 4**63 (about 8.5e37) stays finite
+    need(1.0 < cfg.weak.scale_factor <= 4.0, "weak.scale_factor", "must be in (1, 4]")
     need(1 <= cfg.weak.scale_count <= 64, "weak.scale_count", "must be in [1, 64]")
     need(0.0 < cfg.weak.window_scale <= 1.0, "weak.window_scale", "must be in (0, 1]")
     need(cfg.svm.lam > 0, "svm.lambda", "must be positive")

@@ -226,6 +226,17 @@ def score_proposal_segface(
     return model.master.score(build_feature_vector(p, model, image, cache))
 
 
+def detect(model: SegFaceModel, image: GrayImageF, proposals: list[Proposal]):
+    """Argmax detection: (box, score) of the highest-scoring proposal, or None
+    without proposals. The HoG cache lives for this one call (one image)."""
+    if not proposals:
+        return None
+    cache: dict = {}
+    scores = [score_proposal_segface(p, model, image, cache) for p in proposals]
+    best = int(np.argmax(scores))
+    return proposals[best].box, float(scores[best])
+
+
 def train_segface(
     labeled: list[LabeledProposal],
     images: dict[str, GrayImageF],
@@ -283,31 +294,16 @@ def train_segface(
 SEGFACE_MAGIC = "SEGFACE-MODEL v1"
 
 
+def _linear_entries(m: LinearModel) -> list[tuple[str, str]]:
+    return [("dim", str(m.dim)), ("bias", repr(m.bias)), ("weights", store.floats_to_text(m.weights))]
+
+
 def save_segface(model: SegFaceModel, path) -> None:
     hp = model.hog_params
     sections = [("hog", [(f.name, repr(getattr(hp, f.name))) for f in fields(HogParams)])]
     for kind in ALL_KINDS:
-        m = model.per_segment[kind]
-        sections.append(
-            (
-                f"svm kind={kind_name(kind)}",
-                [
-                    ("dim", str(m.dim)),
-                    ("bias", repr(m.bias)),
-                    ("weights", store.floats_to_text(m.weights)),
-                ],
-            )
-        )
-    sections.append(
-        (
-            "master",
-            [
-                ("dim", str(model.master.dim)),
-                ("bias", repr(model.master.bias)),
-                ("weights", store.floats_to_text(model.master.weights)),
-            ],
-        )
-    )
+        sections.append((f"svm kind={kind_name(kind)}", _linear_entries(model.per_segment[kind])))
+    sections.append(("master", _linear_entries(model.master)))
     sections.append(("priors", priors_to_entries(model.priors)))
     sections.append(("layout", layout_to_entries(model.layout)))
     store.write_sections(path, SEGFACE_MAGIC, sections)

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -50,8 +48,12 @@ class TestConfig:
             ("synth.noise", "-1"),
             ("weak.scale_min", "0.0001"),
             ("weak.scale_count", "5000"),
+            ("weak.scale_factor", "1e10"),
         ],
-        ids=["zeta", "scale_min_zero", "scale_min_negative", "width", "height", "noise", "scale_min_tiny", "scale_count_huge"],
+        ids=[
+            "zeta", "scale_min_zero", "scale_min_negative", "width", "height", "noise",
+            "scale_min_tiny", "scale_count_huge", "scale_factor_huge",
+        ],
     )
     def test_range_violation_names_field(self, tmp_path, key, value):
         p = tmp_path / "run.cfg"
@@ -145,6 +147,29 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert str(faces) in err and "Traceback" not in err
 
+    def test_faces_file_missing_an_image_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "run.cfg"
+        p.write_text("seed = 1\n")
+        ann = tmp_path / "data/test/annotations.csv"
+        ann.parent.mkdir(parents=True)
+        ann.write_text("images/a.pgm,1,2,30,40\nimages/b.pgm,,,,\nimages/c.pgm,,,,\n")
+        faces = tmp_path / "reports/faces_deepsegface_test.csv"
+        faces.parent.mkdir(parents=True)
+        cli.save_faces([("images/a.pgm", (BoxI(1, 2, 30, 40), 0.9))], faces)
+        assert cli.main(["eval", "--config", str(p)]) == 4
+        err = capsys.readouterr().err
+        assert str(faces) in err and "images/b.pgm" in err and "Traceback" not in err
+
+    def test_out_option_is_a_usage_error(self, tmp_path, capsys):
+        p = tmp_path / "run.cfg"
+        p.write_text("seed = 1\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["synth", "--config", str(p), "--out", "x"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--out" in err and "Traceback" not in err
+        assert not (tmp_path / "data").exists()
+
     def test_seed_flag_overrides_config(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("seed = 1\nsynth.train_count = 3\nsynth.test_count = 2\n")
@@ -201,8 +226,8 @@ def test_detect_cache_entries_do_not_outlive_their_image(monkeypatch, model):
     monkeypatch.setattr(cli.dsf, "detect", lambda model, image, plist: (plist[0].box, score(plist[0], {})))
     annotations = [Annotation(f"img_{i}", None) for i in range(3)]
     images = {a.path: None for a in annotations}
-    args = SimpleNamespace(model=model)
-    rows, _ = cli._detect_with_model(RunConfig(), args, annotations, images, [], None, None)
+    detect = (cli.segface if model == "segface" else cli.dsf).detect
+    rows, _ = cli._detect_with_model(RunConfig(), detect, annotations, images, [], None, None)
     assert [r[0] for r in rows] == ["img_0", "img_1", "img_2"]
     assert [image for image, _ in seen] == ["img_0", "img_1", "img_2"]
     assert all(key[0] == image for image, keys in seen for key in keys)

@@ -4,6 +4,7 @@ import pytest
 from segdet.errors import DegenerateLabelsError, PatchTooSmallError
 from segdet.imaging import BoxI, extract_patch
 from segdet.priors import prior_features
+from segdet import segface
 from segdet.proposals import LabeledProposal, Proposal
 from segdet.segface import (
     FEATURE_LEN,
@@ -11,6 +12,7 @@ from segdet.segface import (
     LinearModel,
     SegFaceModel,
     build_feature_vector,
+    detect,
     hog,
     hog_length,
     load_segface,
@@ -219,6 +221,39 @@ class TestTrainSegFace:
         save_segface(m1, tmp_path / "a.txt")
         save_segface(m2, tmp_path / "b.txt")
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+
+class TestDetect:
+    def test_no_proposals_no_detection(self, trained_segface):
+        model, images, _ = trained_segface
+        assert detect(model, images["im0"], []) is None
+
+    def test_picks_argmax_of_proposal_scores(self, trained_segface):
+        model, images, labeled = trained_segface
+        for img_id in ("im0", "im1", "im2"):
+            group = [lp.proposal for lp in labeled if lp.proposal.source_image == img_id]
+            scores = [score_proposal_segface(p, model, images[img_id]) for p in group]
+            best = int(np.argmax(scores))
+            assert detect(model, images[img_id], group) == (group[best].box, float(scores[best]))
+
+    def test_each_call_starts_with_an_empty_cache(self, trained_segface, monkeypatch):
+        model, images, labeled = trained_segface
+        group = [lp.proposal for lp in labeled if lp.proposal.source_image == "im0"]
+        seen = []
+        real = segface.score_proposal_segface
+
+        def spy(p, model, image, cache):
+            seen.append((cache, len(cache)))
+            return real(p, model, image, cache)
+
+        monkeypatch.setattr(segface, "score_proposal_segface", spy)
+        first = detect(model, images["im0"], group)
+        second = detect(model, images["im0"], group)
+        assert first == second
+        caches = [seen[0][0], seen[len(group)][0]]
+        assert caches[0] is not caches[1]
+        assert seen[0][1] == 0 and seen[len(group)][1] == 0
+        assert len(caches[0]) > 0  # the first call did fill its cache
 
 
 def test_model_file_round_trip(tmp_path, trained_segface):

@@ -265,14 +265,7 @@ def cmd_train_deepsegface(cfg: RunConfig, args, base: Path) -> int:
     layout = cfg.layout()
     net_cfg = dsf.network_config(cfg.net.scale, layout, cfg.net.dtype)
     model = dsf.build_network(net_cfg, derive_seed(cfg.seed, "dsf-init"), layout)
-    params = dsf.TrainParams(
-        lr=cfg.net.lr,
-        momentum=cfg.net.momentum,
-        weight_decay=cfg.net.weight_decay,
-        epochs=cfg.net.epochs,
-        batch=cfg.net.batch,
-    )
-    trace = dsf.train(model, labeled, images, params, derive_seed(cfg.seed, "dsf-train"))
+    trace = dsf.train(model, labeled, images, cfg.net, derive_seed(cfg.seed, "dsf-train"))
     models.mkdir(parents=True, exist_ok=True)
     dsf.save_deepsegface(model, models / "deepsegface.txt")
     reports.mkdir(parents=True, exist_ok=True)
@@ -337,7 +330,7 @@ def cmd_eval(cfg: RunConfig, args, base: Path) -> int:
         img: [lp.proposal.box for lp in lps] for img, lps in by_image.items()
     }
     truths = {a.path: a.face for a in annotations}
-    coverage, table = evaluate.coverage_upper_bound(proposal_boxes, truths, cfg.eval.iou_min)
+    coverage, table = evaluate.coverage_upper_bound(proposal_boxes, truths)
     evaluate.check_bottleneck(points, coverage)  # the proposal bottleneck bound
     n_prop = sum(len(v) for v in by_image.values())
 
@@ -347,7 +340,7 @@ def cmd_eval(cfg: RunConfig, args, base: Path) -> int:
         [
             (f"tar_at_far_{cfg.eval.far_target}", tar),
             (f"recall_at_prec_{cfg.eval.prec_target}", recall),
-            (f"coverage_{cfg.eval.iou_min}", coverage),
+            (f"coverage_{evaluate.IOU_MIN}", coverage),
             ("roc_auc", auc),
             ("proposals_per_image", n_prop / max(len(annotations), 1)),
         ],

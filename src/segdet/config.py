@@ -1,12 +1,21 @@
-"""Run configuration: dataclasses, the dotted-key config file format, and
-range validation. Every experiment constant lives here, not in code."""
+"""Run configuration: one record per section, the dotted-key config file
+format, and range validation. Every experiment constant lives here or in its
+stage's record, not in code.
+
+Each section is its stage's record where the library has one: `hog` is
+`segface.HogParams`, `net` is `deepsegface.TrainParams`, and `synth` holds
+`synth.SynthSpec`'s fields. Those records check their own ranges, so a
+setting's name, default and range live in one place.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, field, fields, make_dataclass
 from pathlib import Path
 
-from .errors import ConfigError, SegdetError
+from . import deepsegface as dsf
+from .errors import ConfigError, ConfigShapeError, SegdetError
 from .segface import HogParams
 from .segments import SegmentLayout, default_layout, layout_entry
 from .synth import SynthSpec
@@ -52,57 +61,26 @@ class SvmCfg:
 
 
 @dataclass
-class NetCfg:
-    scale: str = "toy"
-    lr: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-    epochs: int = 10
-    batch: int = 32
-    dtype: str = "float32"  # training precision; gradient checks use float64
-
-
-@dataclass
 class EvalCfg:
-    iou_min: float = 0.5
     far_target: float = 0.01
     prec_target: float = 0.99
 
 
-@dataclass
-class SynthCfg:
-    train_count: int = 400
-    test_count: int = 200
-    width: int = 160
-    height: int = 120
-    face_min: float = 0.35
-    face_max: float = 0.65
-    no_face_fraction: float = 0.15
-    occlusion_prob: float = 0.3
-    shift_prob: float = 0.3
-    max_shift: float = 0.3
-    noise: float = 0.04
-    clutter: int = 3
-    decoy_prob: float = 0.5
-    glasses_prob: float = 0.35
+# `synth` keys: the two split sizes, then SynthSpec's fields with SynthSpec's
+# defaults, less the `count` and `seed` that each split sets
+_SPEC_FIELDS = [f for f in fields(SynthSpec) if f.name not in ("count", "seed")]
 
-    def spec(self, count: int, seed: int) -> SynthSpec:
-        return SynthSpec(
-            count=count,
-            width=self.width,
-            height=self.height,
-            face_min=self.face_min,
-            face_max=self.face_max,
-            no_face_fraction=self.no_face_fraction,
-            occlusion_prob=self.occlusion_prob,
-            shift_prob=self.shift_prob,
-            max_shift=self.max_shift,
-            noise=self.noise,
-            clutter=self.clutter,
-            decoy_prob=self.decoy_prob,
-            glasses_prob=self.glasses_prob,
-            seed=seed,
-        )
+
+def _synth_spec(self, count: int, seed: int) -> SynthSpec:
+    return SynthSpec(count=count, seed=seed, **{f.name: getattr(self, f.name) for f in _SPEC_FIELDS})
+
+
+SynthCfg = make_dataclass(
+    "SynthCfg",
+    [("train_count", "int", field(default=400)), ("test_count", "int", field(default=200))]
+    + [(f.name, f.type, field(default=f.default)) for f in _SPEC_FIELDS],
+    namespace={"spec": _synth_spec},
+)
 
 
 @dataclass
@@ -113,7 +91,7 @@ class RunConfig:
     weak: WeakCfg = field(default_factory=WeakCfg)
     hog: HogParams = field(default_factory=HogParams)
     svm: SvmCfg = field(default_factory=SvmCfg)
-    net: NetCfg = field(default_factory=NetCfg)
+    net: dsf.TrainParams = field(default_factory=dsf.TrainParams)
     eval: EvalCfg = field(default_factory=EvalCfg)
     synth: SynthCfg = field(default_factory=SynthCfg)
     layout_scale: str = "toy"
@@ -136,7 +114,7 @@ _SECTIONS = {
     "weak": WeakCfg,
     "hog": HogParams,
     "svm": SvmCfg,
-    "net": NetCfg,
+    "net": dsf.TrainParams,
     "eval": EvalCfg,
     "synth": SynthCfg,
 }
@@ -145,11 +123,22 @@ _SECTIONS = {
 _KEY_ALIASES = {"svm.lambda": "svm.lam"}
 
 
-def _coerce(value: str, target_type, key: str):
+def _coerce(value: str, type_name: str, key: str):
+    target_type = {"int": int, "float": float, "str": str}[type_name]
     try:
         return target_type(value)
     except ValueError:
-        raise ConfigError(f"{key}: cannot parse {value!r} as {target_type.__name__}") from None
+        raise ConfigError(f"{key}: cannot parse {value!r} as {type_name}") from None
+
+
+def _record(section: str, make, *args, **kwargs):
+    """Build one record of `section`. A record's range checks raise a
+    ValueError whose message starts with the field name, so the ConfigError
+    names the full key."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{exc}") from None
 
 
 def parse_config(path) -> RunConfig:
@@ -158,7 +147,7 @@ def parse_config(path) -> RunConfig:
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     cfg = RunConfig()
-    frozen_updates: dict[str, dict] = {"hog": {}}
+    keys: dict[str, dict] = {section: {} for section in _SECTIONS}
     try:
         text = p.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -173,7 +162,7 @@ def parse_config(path) -> RunConfig:
         key, value = key.strip(), value.strip()
         key = _KEY_ALIASES.get(key, key)
         if key == "seed":
-            cfg.seed = _coerce(value, int, key)
+            cfg.seed = _coerce(value, "int", key)
             continue
         if key == "segments.layout":
             cfg.layout_scale = value
@@ -182,84 +171,68 @@ def parse_config(path) -> RunConfig:
             cfg.layout_overrides[key.split(".", 2)[2]] = value
             continue
         section, _, fname = key.partition(".")
-        if section not in _SECTIONS or not fname:
-            raise ConfigError(f"{p}:{lineno}: unknown key {key!r}")
-        cls = _SECTIONS[section]
-        ftypes = {f.name: f.type for f in fields(cls)}
+        ftypes = {f.name: f.type for f in fields(_SECTIONS[section])} if section in _SECTIONS else {}
         if fname not in ftypes:
             raise ConfigError(f"{p}:{lineno}: unknown key {key!r}")
-        target = getattr(cfg, section)
-        ftype = {"int": int, "float": float, "str": str}[ftypes[fname]]
-        coerced = _coerce(value, ftype, key)
-        if section == "hog":
-            frozen_updates["hog"][fname] = coerced
-        else:
-            setattr(target, fname, coerced)
-    if frozen_updates["hog"]:
-        base = {f.name: getattr(cfg.hog, f.name) for f in fields(HogParams)}
-        base.update(frozen_updates["hog"])
-        try:
-            cfg.hog = HogParams(**base)
-        except ValueError as exc:
-            raise ConfigError(f"hog: {exc}") from None
+        keys[section][fname] = _coerce(value, ftypes[fname], key)
+    for section, cls in _SECTIONS.items():
+        setattr(cfg, section, _record(section, cls, **keys[section]))
     validate_config(cfg)
     return cfg
 
 
 def validate_config(cfg: RunConfig) -> None:
-    """Range checks; raises ConfigError naming the offending field."""
+    """Range checks the records do not make themselves; raises ConfigError
+    naming the offending field."""
 
     def need(cond: bool, key: str, msg: str):
         if not cond:
-            raise ConfigError(f"{key}: {msg}")
+            raise ConfigError(f"{key} {msg}")
 
     need(cfg.proposals.zeta >= 1, "proposals.zeta", "must be >= 1")
     need(cfg.proposals.min_segments >= 1, "proposals.min_segments", "must be >= 1")
     need(cfg.proposals.radius_frac > 0, "proposals.radius_frac", "must be positive")
     need(cfg.proposals.box_mode in ("segments", "implied"), "proposals.box_mode", "must be 'segments' or 'implied'")
     need(cfg.weak.rounds >= 1, "weak.rounds", "must be >= 1")
+    # a stump pool of size 0 leaves boosting nothing to pick
+    need(cfg.weak.pool_size >= 1, "weak.pool_size", "must be >= 1")
     need(cfg.weak.stride >= 1, "weak.stride", "must be >= 1")
     # a rung at scale s holds 1/s^2 of the frame's pixels: at most 16x here
     need(cfg.weak.scale_min >= 0.25, "weak.scale_min", "must be >= 0.25")
     # with scale_count <= 64, scale_factor**63 <= 4**63 (about 8.5e37) stays finite
     need(1.0 < cfg.weak.scale_factor <= 4.0, "weak.scale_factor", "must be in (1, 4]")
     need(1 <= cfg.weak.scale_count <= 64, "weak.scale_count", "must be in [1, 64]")
+    # infinite rungs repeat, and the scan needs a strictly increasing ladder
+    need(math.isfinite(cfg.weak.scales()[-1]), "weak.scale_min", "must keep the top pyramid rung finite")
     need(0.0 < cfg.weak.window_scale <= 1.0, "weak.window_scale", "must be in (0, 1]")
     need(cfg.svm.lam > 0, "svm.lambda", "must be positive")
     need(cfg.svm.epochs >= 1, "svm.epochs", "must be >= 1")
-    need(cfg.net.scale in ("toy", "full"), "net.scale", "must be 'toy' or 'full'")
-    need(cfg.net.dtype in ("float32", "float64"), "net.dtype", "must be 'float32' or 'float64'")
-    need(cfg.net.lr > 0, "net.lr", "must be positive")
-    need(cfg.net.epochs >= 1, "net.epochs", "must be >= 1")
-    need(cfg.net.batch >= 2, "net.batch", "must be >= 2")
-    need(0.0 < cfg.eval.iou_min < 1.0, "eval.iou_min", "must be in (0, 1)")
     need(0.0 < cfg.eval.far_target < 1.0, "eval.far_target", "must be in (0, 1)")
     need(0.0 < cfg.eval.prec_target < 1.0, "eval.prec_target", "must be in (0, 1)")
     need(cfg.synth.train_count >= 1, "synth.train_count", "must be >= 1")
     need(cfg.synth.test_count >= 1, "synth.test_count", "must be >= 1")
-    need(cfg.synth.width >= 1, "synth.width", "must be >= 1")
-    need(cfg.synth.height >= 1, "synth.height", "must be >= 1")
-    need(cfg.synth.noise >= 0, "synth.noise", "must be >= 0")
-    for name in ("face_min", "face_max", "no_face_fraction", "occlusion_prob", "shift_prob", "max_shift", "decoy_prob", "glasses_prob"):
-        v = getattr(cfg.synth, name)
-        need(0.0 <= v <= 1.0, f"synth.{name}", "must be in [0, 1]")
-    need(cfg.synth.face_min <= cfg.synth.face_max, "synth.face_min", "must not exceed synth.face_max")
+    _record("synth", cfg.synth.spec, 1, 0)
     try:
-        cfg.layout()
+        layout = cfg.layout()
     except SegdetError as exc:
         raise ConfigError(str(exc)) from None
     except ValueError as exc:
         raise ConfigError(f"segments.layout: {exc}") from None
+    try:  # shapes only: no network is allocated
+        dsf.network_config(cfg.net.scale, layout, cfg.net.dtype).validate()
+    except ConfigShapeError as exc:
+        raise ConfigError(f"net.scale = {cfg.net.scale} does not fit segments.layout: {exc}") from None
 
 
 def write_config(cfg: RunConfig, path) -> None:
     """Emit every field as dotted keys (a parseable fixed point)."""
+    file_keys = {field_key: key for key, field_key in _KEY_ALIASES.items()}
     lines = [f"seed = {cfg.seed}", f"segments.layout = {cfg.layout_scale}"]
     for name, value in cfg.layout_overrides.items():
         lines.append(f"segments.layout.{name} = {value}")
     for section, cls in _SECTIONS.items():
         obj = getattr(cfg, section)
         for f in fields(cls):
-            key = "svm.lambda" if (section, f.name) == ("svm", "lam") else f"{section}.{f.name}"
-            lines.append(f"{key} = {getattr(obj, f.name)}")
+            key = f"{section}.{f.name}"
+            lines.append(f"{file_keys.get(key, key)} = {getattr(obj, f.name)}")
     store.write_lines(path, lines)

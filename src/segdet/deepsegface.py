@@ -292,11 +292,27 @@ def score_proposals(model: DeepSegFaceModel, proposals: list[Proposal], images: 
 
 @dataclass(frozen=True)
 class TrainParams:
+    """DeepSegFace training settings: the run config's `net` section."""
+
+    scale: str = "toy"  # network preset of network_config
     lr: float = 0.05
     momentum: float = 0.9
     weight_decay: float = 1e-4
-    epochs: int = 12
+    epochs: int = 10
     batch: int = 32
+    dtype: str = "float32"  # training precision; gradient checks use float64
+
+    def __post_init__(self):
+        if self.scale not in ("toy", "full"):
+            raise ValueError(f"scale must be 'toy' or 'full', got {self.scale!r}")
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch < 2:
+            raise ValueError(f"batch must be >= 2, got {self.batch}")
 
 
 # per-batch face fraction is clamped to this band to stabilize the head

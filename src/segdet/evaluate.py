@@ -2,9 +2,9 @@
 
 Each image contributes at most one detection (the argmax proposal). A truth
 image counts as correctly detected at threshold t when its detection scores
-at least t and overlaps the annotation by IoU >= 0.5; a no-truth image counts
-as a false accept when any detection scores at least t. Curves are exact step
-functions over the observed score set, no binning.
+at least t and overlaps the annotation by IoU >= IOU_MIN (the paper's 50%); a
+no-truth image counts as a false accept when any detection scores at least t.
+Curves are exact step functions over the observed score set, no binning.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from .errors import EvalInvariantError, NoNegativeImagesError
 from .imaging import BoxI
 from . import store
+
+IOU_MIN = 0.5  # the paper's 50% overlap rule: a box at this IoU or more matches its face
 
 
 def iou(a: BoxI, b: BoxI) -> float:
@@ -60,15 +62,15 @@ class CurvePoint:
 def _sweep(results: list[ImageResult]) -> list[CurvePoint]:
     n_truth = sum(1 for r in results if r.has_truth)
     n_neg = len(results) - n_truth
-    hits = []  # scores on truth images whose detection overlaps >= 0.5
-    misses = []  # scores on truth images whose detection overlaps < 0.5
+    hits = []  # scores on truth images whose detection overlaps >= IOU_MIN
+    misses = []  # scores on truth images whose detection overlaps < IOU_MIN
     fas = []  # scores on no-truth images with any detection
     for r in results:
         if r.detection is None:
             continue
         box, score = r.detection
         if r.has_truth:
-            if iou(box, r.truth) >= 0.5:
+            if iou(box, r.truth) >= IOU_MIN:
                 hits.append(score)
             else:
                 misses.append(score)
@@ -132,7 +134,7 @@ def roc_auc(results: list[ImageResult]) -> float:
 def coverage_upper_bound(
     proposals_by_image: dict[str, list[BoxI]],
     truths: dict[str, BoxI | None],
-    iou_min: float = 0.5,
+    iou_min: float = IOU_MIN,
     grid: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
 ) -> tuple[float, list[tuple[float, float, float]]]:
     """Fraction of truth images with at least one proposal at IoU >= iou_min.

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError
-from .evaluate import iou
+from .evaluate import IOU_MIN, iou
 from .imaging import BoxI, union_box
 from .segments import (
     SegmentDetection,
@@ -210,11 +210,11 @@ def generate_proposals(
 
 
 def label_proposals(proposals: list[Proposal], truth: BoxI | None) -> list[LabeledProposal]:
-    """Face label iff the image has a truth box and IoU >= 0.5."""
+    """Face label iff the image has a truth box and IoU >= IOU_MIN."""
     out = []
     for p in proposals:
         overlap = iou(p.box, truth) if truth is not None else 0.0
-        out.append(LabeledProposal(p, overlap >= 0.5, overlap))
+        out.append(LabeledProposal(p, overlap >= IOU_MIN, overlap))
     return out
 
 

@@ -46,8 +46,9 @@ class HogParams:
     clip: float = 0.2  # L2-Hys clipping value
 
     def __post_init__(self):
-        if self.cell < 2 or self.bins < 2 or self.block < 1 or self.block_stride < 1:
-            raise ValueError(f"invalid HoG parameters {self}")
+        for name, low in (("cell", 2), ("block", 1), ("bins", 2), ("block_stride", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not (0.0 < self.clip <= 1.0):
             raise ValueError(f"clip must be in (0, 1], got {self.clip}")
 

@@ -39,8 +39,11 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
+        for name in ("count", "width", "height"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.noise >= 0.0:
+            raise ValueError(f"noise must be >= 0, got {self.noise}")
         for name in (
             "face_min",
             "face_max",

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from segdet import cli
+from segdet import deepsegface as dsf
 from segdet.config import RunConfig, parse_config, validate_config, write_config
 from segdet.errors import ConfigError
 from segdet.imaging import BoxI
 from segdet.segments import SegmentKind
-from segdet.synth import Annotation
+from segdet.synth import Annotation, SynthSpec
 
 from conftest import mk_proposal
 
@@ -36,6 +37,10 @@ class TestConfig:
         p.write_text("proposals.zetta = 3\n")
         with pytest.raises(ConfigError, match="zetta"):
             parse_config(p)
+        # the 50% overlap rule is fixed: TAR, labels and coverage share it
+        p.write_text("eval.iou_min = 0.7\n")
+        with pytest.raises(ConfigError, match="unknown key 'eval.iou_min'"):
+            parse_config(p)
 
     @pytest.mark.parametrize(
         "key, value",
@@ -49,10 +54,16 @@ class TestConfig:
             ("weak.scale_min", "0.0001"),
             ("weak.scale_count", "5000"),
             ("weak.scale_factor", "1e10"),
+            ("weak.scale_min", "1e308"),
+            ("weak.pool_size", "0"),
+            ("net.lr", "0"),
+            ("hog.clip", "0"),
+            ("synth.face_min", "0.9"),
         ],
         ids=[
             "zeta", "scale_min_zero", "scale_min_negative", "width", "height", "noise",
-            "scale_min_tiny", "scale_count_huge", "scale_factor_huge",
+            "scale_min_tiny", "scale_count_huge", "scale_factor_huge", "scale_min_top_rung_inf",
+            "pool_size_zero", "net_lr", "hog_clip", "face_min_above_face_max",
         ],
     )
     def test_range_violation_names_field(self, tmp_path, key, value):
@@ -60,6 +71,14 @@ class TestConfig:
         p.write_text(f"{key} = {value}\n")
         with pytest.raises(ConfigError, match=key):
             parse_config(p)
+
+    def test_sections_are_stage_records(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("net.lr = 0.1\n")
+        net = parse_config(p).net
+        assert isinstance(net, dsf.TrainParams) and net.lr == 0.1
+        assert dsf.TrainParams() == RunConfig().net
+        assert RunConfig().synth.spec(5, 1) == SynthSpec(count=5, seed=1)
 
     def test_layout_override_entry(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -93,6 +112,18 @@ class TestCliExitCodes:
         p.write_text("proposals.zeta = 0\n")
         assert cli.main(["validate-config", "--config", str(p)]) == 2
         assert "proposals.zeta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        ["net.scale = full\n", "segments.layout.Nose = 0.25 0.3 0.75 0.8 2 2\n"],
+        ids=["full_net_on_toy_layout", "collapsing_override"],
+    )
+    def test_network_must_fit_layout_exit_code(self, tmp_path, capsys, text):
+        p = tmp_path / "run.cfg"
+        p.write_text(text)
+        assert cli.main(["validate-config", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "net.scale" in err and "Nose" in err and "Traceback" not in err
 
     def test_out_of_range_synth_size_exit_code(self, tmp_path, capsys):
         p = tmp_path / "run.cfg"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from segdet.errors import EvalInvariantError, NoNegativeImagesError
 from segdet.evaluate import (
+    IOU_MIN,
     CurvePoint,
     ImageResult,
     check_bottleneck,
@@ -21,6 +22,9 @@ from segdet.evaluate import (
     write_summary_csv,
 )
 from segdet.imaging import BoxI
+from segdet.proposals import label_proposals
+
+from conftest import mk_proposal
 
 boxes = st.builds(
     BoxI,
@@ -246,6 +250,19 @@ class TestCoverage:
         pts = [CurvePoint(0.5, 0.8, 0.0, 1.0, 0.8)]
         with pytest.raises(EvalInvariantError):
             check_bottleneck(pts, 0.5)
+
+
+@pytest.mark.parametrize("h, match", [(5, True), (4, False)])
+def test_one_overlap_rule(h, match):
+    """TAR, proposal labels and coverage switch at the same IoU, so the
+    coverage bound caps TAR whatever the overlap."""
+    truth, box = BoxI(0, 0, 10, 10), BoxI(0, 0, 10, h)
+    assert (iou(box, truth) >= IOU_MIN) == match
+    results = [ImageResult("a", truth, (box, 0.9)), ImageResult("b", None, None)]
+    assert max(p.tar for p in roc_curve(results)) == (1.0 if match else 0.0)
+    [labeled] = label_proposals([mk_proposal([0], box=box, image_id="a")], truth)
+    assert labeled.is_face == match
+    assert coverage_upper_bound({"a": [box]}, {"a": truth, "b": None})[0] == (1.0 if match else 0.0)
 
 
 def test_csv_writers(tmp_path):

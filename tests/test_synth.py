@@ -1,4 +1,5 @@
 import hashlib
+import math
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,9 @@ class TestSynthGenerate:
             SynthSpec(count=1, occlusion_prob=1.5)
         with pytest.raises(ValueError):
             SynthSpec(count=1, face_min=0.8, face_max=0.4)
+        for name, value in (("width", 0), ("height", 0), ("noise", -0.1), ("noise", math.nan)):
+            with pytest.raises(ValueError, match=f"^{name} "):
+                SynthSpec(count=1, **{name: value})
 
 
 class TestVisibleBox:

@@ -205,6 +205,9 @@ def validate_config(cfg: RunConfig) -> None:
     # infinite rungs repeat, and the scan needs a strictly increasing ladder
     need(math.isfinite(cfg.weak.scales()[-1]), "weak.scale_min", "must keep the top pyramid rung finite")
     need(0.0 < cfg.weak.window_scale <= 1.0, "weak.window_scale", "must be in (0, 1]")
+    # accept_threshold = threshold_scale * alpha_sum / 2; above 2 it exceeds
+    # alpha_sum, the largest raw score, so no window could ever be accepted
+    need(0.0 < cfg.weak.threshold_scale <= 2.0, "weak.threshold_scale", "must be in (0, 2]")
     need(cfg.svm.lam > 0, "svm.lambda", "must be positive")
     need(cfg.svm.epochs >= 1, "svm.epochs", "must be >= 1")
     need(0.0 < cfg.eval.far_target < 1.0, "eval.far_target", "must be in (0, 1)")

@@ -77,34 +77,33 @@ class BoostedDetector:
     def alpha_sum(self) -> float:
         return sum(s.alpha for s in self.stumps)
 
-    def score_patch(self, patch: GrayImageF) -> float:
-        """Raw boosted score of one window-sized patch."""
-        if patch.data.shape != (self.window_h, self.window_w):
-            raise ValueError(
-                f"patch {patch.data.shape} does not match window "
-                f"{self.window_h}x{self.window_w}"
-            )
-        ii = integral(patch).data[None, :, :]
-        area = float(self.window_w * self.window_h)
-        score = 0.0
-        for s in self.stumps:
-            v = _feature_values_on_patches(s.feature, ii, area)[0]
-            if s.polarity * v < s.polarity * s.threshold:
-                score += s.alpha
-        return score
 
+def _feature_values_on_patches(features: list[HaarFeature], ii_stack: np.ndarray, area: float) -> np.ndarray:
+    """Value of every feature on every patch of a stacked integral array
+    (N, H+1, W+1), as an (N, F) table.
 
-def _feature_values_on_patches(feature: HaarFeature, ii_stack: np.ndarray, area: float) -> np.ndarray:
-    """Feature value for every patch in a stacked integral array (N, H+1, W+1)."""
-    v = np.zeros(ii_stack.shape[0], dtype=np.float64)
-    for wgt, x, y, w, h in feature.rects():
-        v += wgt * (
-            ii_stack[:, y + h, x + w]
-            - ii_stack[:, y, x + w]
-            - ii_stack[:, y + h, x]
-            + ii_stack[:, y, x]
-        )
-    return v / area
+    Features with the same rect count share one pass of corner gathers. Each
+    value keeps the scan's float order: per rect ((ii[y1,x1] - ii[y0,x1]) -
+    ii[y1,x0]) + ii[y0,x0], times the rect's weight, added in rect order to a
+    zero start, then divided by the window area.
+    """
+    n, rows, cols = ii_stack.shape
+    corners = ii_stack.reshape(n, rows * cols).T.copy()  # one row of N per corner
+    values = np.empty((len(features), n), dtype=np.float64)
+    by_count: dict[int, list[int]] = {}
+    for fi, feat in enumerate(features):
+        by_count.setdefault(len(feat.rects()), []).append(fi)
+    for idx in by_count.values():
+        wgt, x, y, w, h = np.array([features[fi].rects() for fi in idx]).transpose(2, 1, 0)
+        v = np.zeros((len(idx), n), dtype=np.float64)
+        for r in range(len(wgt)):
+            x0, y0, x1, y1 = x[r], y[r] * cols, x[r] + w[r], (y[r] + h[r]) * cols
+            t = corners[y1 + x1] - corners[y0 + x1]
+            t -= corners[y1 + x0]
+            t += corners[y0 + x0]
+            v += wgt[r][:, None] * t
+        values[idx] = v / area
+    return np.ascontiguousarray(values.T)
 
 
 def _sample_features(rng: np.random.Generator, win_w: int, win_h: int, pool_size: int) -> list[HaarFeature]:
@@ -159,6 +158,12 @@ def train_boosted(
     diverse ensemble with graded window scores; eps is floored at 1/(2n) when
     computing alpha so perfect splits keep finite weight. Training halts when
     no remaining stump beats chance (error if none was ever found).
+
+    Ties go to the first feature in pool order, then to the first sorted
+    position within it, and polarity +1 beats -1. Rounds reuse their buffers;
+    prefix sums keep np.cumsum's sequential order. The polarity -1 error
+    1 - err_+1 is minimized as the largest err_+1, which is exact where -1
+    can win (err_+1 >= 0.5).
     """
     if not positives or not negatives:
         raise DegenerateDataError(
@@ -177,55 +182,57 @@ def train_boosted(
     features = _sample_features(rng, win_w, win_h, pool_size)
     patches = positives + negatives
     ii_stack = np.stack([integral(p).data for p in patches])
-    area = float(win_w * win_h)
     n = len(patches)
     y = np.zeros(n, dtype=np.float64)
     y[: len(positives)] = 1.0
 
-    values = np.empty((len(features), n), dtype=np.float64)
-    for fi, feat in enumerate(features):
-        values[fi] = _feature_values_on_patches(feat, ii_stack, area)
-    order = np.argsort(values, axis=1, kind="stable")
-    v_sorted = np.take_along_axis(values, order, axis=1)
-    y_sorted = np.take_along_axis(np.broadcast_to(y, values.shape), order, axis=1)
-    # splits between equal neighbors cannot be realized by a threshold
-    valid = np.ones_like(v_sorted, dtype=bool)
-    valid[:, :-1] = v_sorted[:, :-1] < v_sorted[:, 1:]
+    # (position, feature) layout: each sorted position's row is contiguous
+    values = _feature_values_on_patches(features, ii_stack, float(win_w * win_h))
+    order = np.argsort(values, axis=0, kind="stable")
+    v_sorted = np.take_along_axis(values, order, axis=0)
+    # a split between equal neighbors cannot be realized by a threshold, and
+    # a chosen feature leaves the pool: both get an infinite penalty
+    penalty = np.zeros_like(v_sorted)
+    penalty[:-1][~(v_sorted[:-1] < v_sorted[1:])] = np.inf
+    cpos = np.empty_like(v_sorted)
+    cneg = np.empty_like(v_sorted)
+    masked = np.empty_like(v_sorted)
 
     weights = np.full(n, 1.0 / n, dtype=np.float64)
-    available = np.ones((len(features), 1), dtype=bool)
     eps_floor = 1.0 / (2.0 * n)
     stumps: list[Stump] = []
     for _ in range(min(rounds, len(features))):
-        w_sorted = np.take_along_axis(np.broadcast_to(weights, values.shape), order, axis=1)
-        cpos = np.cumsum(w_sorted * y_sorted, axis=1)
-        cneg = np.cumsum(w_sorted * (1.0 - y_sorted), axis=1)
-        wpos = cpos[:, -1:]
-        # threshold above sorted position i, polarity +1 predicts positive below it
-        err_p = cneg + (wpos - cpos)
-        err_m = 1.0 - err_p
-        usable = valid & available
-        err_p = np.where(usable, err_p, np.inf)
-        err_m = np.where(usable, err_m, np.inf)
-        best_p = np.unravel_index(np.argmin(err_p), err_p.shape)
-        best_m = np.unravel_index(np.argmin(err_m), err_m.shape)
-        if err_p[best_p] <= err_m[best_m]:
-            fi, si = best_p
-            polarity, eps = 1, float(err_p[best_p])
+        # every index is valid; "clip" writes straight into out, "raise" buffers
+        np.take(weights * y, order, out=cpos, mode="clip")
+        np.take(weights * (1.0 - y), order, out=cneg, mode="clip")
+        for i in range(1, n):
+            np.add(cpos[i - 1], cpos[i], out=cpos[i])
+            np.add(cneg[i - 1], cneg[i], out=cneg[i])
+        # threshold above sorted position i, polarity +1 predicts positive
+        # below it: err_+1 = cneg + (wpos - cpos), built in cpos
+        np.subtract(cpos[-1].copy(), cpos, out=cpos)
+        err_p = np.add(cneg, cpos, out=cpos)
+        lowest = np.add(err_p, penalty, out=masked).min(axis=0)
+        fp = int(np.argmin(lowest))
+        highest = np.subtract(err_p, penalty, out=masked).max(axis=0)
+        fm = int(np.argmax(highest))
+        if lowest[fp] <= 1.0 - highest[fm]:
+            fi, polarity, eps = fp, 1, float(lowest[fp])
+            si = int(np.argmin(err_p[:, fi] + penalty[:, fi]))
         else:
-            fi, si = best_m
-            polarity, eps = -1, float(err_m[best_m])
+            fi, polarity, eps = fm, -1, float(1.0 - highest[fm])
+            si = int(np.argmax(err_p[:, fi] - penalty[:, fi]))
         if eps >= 0.5 - 1e-12:
             break
         if si == n - 1:
-            threshold = float(v_sorted[fi, si]) + 1.0
+            threshold = float(v_sorted[si, fi]) + 1.0
         else:
-            threshold = float(v_sorted[fi, si] + v_sorted[fi, si + 1]) / 2.0
+            threshold = float(v_sorted[si, fi] + v_sorted[si + 1, fi]) / 2.0
         eps_c = min(max(eps, eps_floor), 1.0 - eps_floor)
         alpha = 0.5 * np.log((1.0 - eps_c) / eps_c)
         stumps.append(Stump(features[fi], threshold, polarity, float(alpha)))
-        available[fi] = False
-        pred = (polarity * values[fi] < polarity * threshold).astype(np.float64)
+        penalty[:, fi] = np.inf
+        pred = (polarity * values[:, fi] < polarity * threshold).astype(np.float64)
         wrong = pred != y
         weights = weights * np.exp(np.where(wrong, alpha, -alpha))
         weights /= weights.sum()
@@ -247,17 +254,18 @@ def _nms(dets: list[SegmentDetection], iou_max: float) -> list[SegmentDetection]
     return kept
 
 
-def _scan_scores(det: BoostedDetector, ii: np.ndarray, nx: int, ny: int, stride: int) -> np.ndarray:
+def _scan_scores(det: BoostedDetector, phases: list[list[np.ndarray]], nx: int, ny: int, stride: int) -> np.ndarray:
     """Raw boosted score of every window on an ny x nx grid with step `stride`.
 
-    Each corner lookup is a basic strided slice of the integral image (a view,
-    no copy); the arithmetic runs in three grid-sized buffers with `out=`.
+    `phases[py][px]` is the integral image's `[py::stride, px::stride]`
+    subsample, copied contiguous, so every corner lookup is a basic slice of
+    one phase (a view whose rows are contiguous); the arithmetic runs in three
+    grid-sized buffers with `out=`.
     """
-    ext_x = stride * (nx - 1) + 1
-    ext_y = stride * (ny - 1) + 1
 
     def corner(x: int, y: int) -> np.ndarray:
-        return ii[y : y + ext_y : stride, x : x + ext_x : stride]
+        row, col = y // stride, x // stride
+        return phases[y % stride][x % stride][row : row + ny, col : col + nx]
 
     area = float(det.window_w * det.window_h)
     scores = np.zeros((ny, nx), dtype=np.float64)
@@ -281,6 +289,32 @@ def _scan_scores(det: BoostedDetector, ii: np.ndarray, nx: int, ny: int, stride:
     return scores
 
 
+# Largest float64 canvas, so a detector's passes over it stay in a 2 MiB L2
+# cache. At the default ladder a 160x120 frame is one canvas and a 320x240
+# frame two (rungs 0-1 and 2-5), which scanned faster than one canvas.
+_CANVAS_BYTES = 1_200_000
+
+
+def _canvases(sizes: list[tuple[int, int]], stride: int) -> list[list[tuple[int, int]]]:
+    """Pyramid rungs, given as (w, h), packed left to right into canvases.
+
+    Each canvas lists its blocks as (rung index, x offset); a block is its
+    rung's (h+1) x (w+1) integral image. Offsets are multiples of `stride`, so
+    the canvas's scan grid holds each block's own grid. Consecutive rungs share
+    a canvas until the next block would take it past _CANVAS_BYTES.
+    """
+    canvases: list[list[tuple[int, int]]] = []
+    width = height = 0
+    for r, (w, h) in enumerate(sizes):
+        x0 = -(-width // stride) * stride
+        if not canvases or 8 * max(height, h + 1) * (x0 + w + 1) > _CANVAS_BYTES:
+            canvases.append([])
+            x0 = height = 0
+        canvases[-1].append((r, x0))
+        width, height = x0 + w + 1, max(height, h + 1)
+    return canvases
+
+
 def detect_segments(
     img: GrayImageF,
     detectors: list[BoostedDetector],
@@ -294,6 +328,19 @@ def detect_segments(
     the original image. Windows scoring at least the detector's acceptance
     threshold are emitted with score = raw - threshold, then same-kind
     detections are pruned by non-maximum suppression.
+
+    Canvas: each rung's integral image is a block in a zero-filled canvas, at
+    an x offset that is a multiple of the stride, and each detector scans a
+    whole canvas in one `_scan_scores` call (numpy call overhead, not window
+    arithmetic, dominates a small rung). Of the canvas grid only each block's
+    own ny x nx grid is kept; windows that straddle blocks or padding are
+    computed and dropped. A kept window reads only its own block, whose values
+    are its rung's integral image, so its score is the one a scan of that rung
+    alone gives. The scan reads the canvas through its stride x stride phases
+    (copies of `canvas[py::stride, px::stride]`), which hold the same values
+    with contiguous rows. Rungs are grouped into canvases by `_canvases`, a
+    function of the rung sizes only; a one-block canvas is a plain per-rung
+    scan.
 
     Float-order contract: every window's raw score is the one
     `_feature_values_on_patches` and stump-order alpha sums give for that
@@ -311,31 +358,49 @@ def detect_segments(
     for a, b in zip(scales, scales[1:]):
         if b <= a:
             raise ValueError("scale ladder must be strictly increasing")
-    hits: list[SegmentDetection] = []
+    rungs = []
     for s in scales:
         out_w = max(1, int(round(img.width / s)))
         out_h = max(1, int(round(img.height / s)))
-        scaled = resize_bilinear(img, out_w, out_h)
-        ii = integral(scaled).data
-        sx = img.width / out_w
-        sy = img.height / out_h
+        rungs.append((out_w, out_h, integral(resize_bilinear(img, out_w, out_h)).data))
+    hits: list[SegmentDetection] = []
+    for blocks in _canvases([(w, h) for w, h, _ in rungs], stride):
+        last, x_last = blocks[-1]
+        canvas = np.zeros((max(rungs[r][1] for r, _ in blocks) + 1, x_last + rungs[last][0] + 1))
+        for r, x0 in blocks:
+            ii = rungs[r][2]
+            canvas[: ii.shape[0], x0 : x0 + ii.shape[1]] = ii
+        phases = [[np.ascontiguousarray(canvas[py::stride, px::stride]) for px in range(stride)] for py in range(stride)]
         for det in detectors:
-            if out_w < det.window_w or out_h < det.window_h:
+            # (rung size, first grid column, nx, ny) of every block the window fits
+            grids = []
+            for r, x0 in blocks:
+                w, h, _ = rungs[r]
+                if w >= det.window_w and h >= det.window_h:
+                    nx_b = (w - det.window_w) // stride + 1
+                    ny_b = (h - det.window_h) // stride + 1
+                    grids.append((w, h, x0 // stride, nx_b, ny_b))
+            if not grids:
                 continue
-            nx = (out_w - det.window_w) // stride + 1
-            ny = (out_h - det.window_h) // stride + 1
-            scores = _scan_scores(det, ii, nx, ny, stride)
-            iy, ix = np.nonzero(scores >= det.accept_threshold)
-            for yi, xi in zip(iy.tolist(), ix.tolist()):
-                box = BoxI(
-                    int(round(xi * stride * sx)),
-                    int(round(yi * stride * sy)),
-                    max(1, int(round(det.window_w * sx))),
-                    max(1, int(round(det.window_h * sy))),
-                )
-                hits.append(
-                    SegmentDetection(det.kind, box, float(scores[yi, xi] - det.accept_threshold))
-                )
+            nx = max(col + nx_b for *_, col, nx_b, _ in grids)
+            ny = max(ny_b for *_, ny_b in grids)
+            canvas_scores = _scan_scores(det, phases, nx, ny, stride)
+            for w, h, col, nx_b, ny_b in grids:
+                scores = canvas_scores[:ny_b, col : col + nx_b]
+                sx = img.width / w
+                sy = img.height / h
+                iy, ix = np.nonzero(scores >= det.accept_threshold)
+                for yi, xi in zip(iy.tolist(), ix.tolist()):
+                    box = BoxI(
+                        int(round(xi * stride * sx)),
+                        int(round(yi * stride * sy)),
+                        max(1, int(round(det.window_w * sx))),
+                        max(1, int(round(det.window_h * sy))),
+                    )
+                    hits.append(
+                        SegmentDetection(det.kind, box, float(scores[yi, xi] - det.accept_threshold))
+                    )
+    # _nms orders hits by (score, box), so their order across rungs is free
     out: list[SegmentDetection] = []
     for kind in sorted({d.kind for d in hits}):
         out.extend(_nms([d for d in hits if d.kind == kind], nms_iou))

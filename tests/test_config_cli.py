@@ -59,11 +59,15 @@ class TestConfig:
             ("net.lr", "0"),
             ("hog.clip", "0"),
             ("synth.face_min", "0.9"),
+            ("weak.threshold_scale", "nan"),
+            ("weak.threshold_scale", "0"),
+            ("weak.threshold_scale", "2.5"),
         ],
         ids=[
             "zeta", "scale_min_zero", "scale_min_negative", "width", "height", "noise",
             "scale_min_tiny", "scale_count_huge", "scale_factor_huge", "scale_min_top_rung_inf",
             "pool_size_zero", "net_lr", "hog_clip", "face_min_above_face_max",
+            "threshold_scale_nan", "threshold_scale_zero", "threshold_scale_above_two",
         ],
     )
     def test_range_violation_names_field(self, tmp_path, key, value):

@@ -7,7 +7,10 @@ from pathlib import Path
 
 import numpy as np
 
+from segdet import weakdet
 from segdet.config import parse_config
+from segdet.imaging import BoxI
+from segdet.segments import SegmentKind
 
 from conftest import gray
 
@@ -34,3 +37,28 @@ def test_benchmark_configs_parse(monkeypatch, tmp_path):
     run = workload.Run(tmp_path, "train", 1)
     assert run.cfg.net.epochs == workload.EPOCHS
     assert parse_config(tmp_path / "weak.cfg").paths.data == "data_weak"
+
+
+def test_scan_counts_match_the_scan(monkeypatch):
+    """`_scan_counts` reads `detect_segments`'s positional arguments: its window
+    count is the per-rung grids' sum and its detection count the result's length."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    stumps = [
+        weakdet.Stump(weakdet.HaarFeature(weakdet.HAAR_TWO_H, BoxI(0, 0, 8, 6)), 0.0, 1, 0.5),
+        weakdet.Stump(weakdet.HaarFeature(weakdet.HAAR_TWO_V, BoxI(1, 0, 5, 6)), 0.0, -1, 0.25),
+    ]
+    eye = weakdet.BoostedDetector(SegmentKind.EYE, 8, 6, stumps, 0.5)
+    nose = weakdet.BoostedDetector(SegmentKind.NOSE, 6, 10, stumps[1:], 0.25)
+    img = gray(np.random.default_rng(3).uniform(0, 1, (30, 41)))
+    args = (img, [eye, nose], [1.0, 1.5, 3.5], 3, 0.5)
+    out = weakdet.detect_segments(*args)
+    counts = {"weakdet.windows": 0, "weakdet.detections": 0}
+    tracing._scan_counts(counts, args, {}, out)
+    # every window of one rung, from a scan that accepts and keeps them all
+    windows = 0
+    for s in args[2]:
+        everything = [weakdet.BoostedDetector(d.kind, d.window_w, d.window_h, d.stumps, -np.inf) for d in args[1]]
+        windows += len(weakdet.detect_segments(img, everything, [s], args[3], 1.0))
+    assert counts["weakdet.windows"] == windows > 0
+    assert counts["weakdet.detections"] == len(out) > 0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from segdet import cli
+from segdet import cli, weakdet
 from segdet.errors import DegenerateDataError, NoUsefulFeatureError, ParseError, UnknownSegmentKindError
 from segdet.evaluate import iou
 from segdet.imaging import BoxI, integral, resize_bilinear
@@ -16,7 +16,9 @@ from segdet.weakdet import (
     HaarFeature,
     Stump,
     _HAAR_UNITS,
+    _canvases,
     _feature_values_on_patches,
+    _sample_features,
     detect_segments,
     export_detections,
     import_detections,
@@ -28,6 +30,34 @@ from segdet.weakdet import (
 from conftest import gray
 
 WIN = (12, 12)  # (h, w)
+
+
+def _patch_feature_values(feature, ii_stack, area):
+    """One feature's value on every patch of a stacked integral array, one
+    patch-sized gather per corner: the reference for the table that
+    `_feature_values_on_patches` builds and for the scan's float order."""
+    v = np.zeros(ii_stack.shape[0], dtype=np.float64)
+    for wgt, x, y, w, h in feature.rects():
+        v += wgt * (
+            ii_stack[:, y + h, x + w]
+            - ii_stack[:, y, x + w]
+            - ii_stack[:, y + h, x]
+            + ii_stack[:, y, x]
+        )
+    return v / area
+
+
+def score_patch(det, patch):
+    """Raw boosted score of one window-sized patch."""
+    assert patch.data.shape == (det.window_h, det.window_w)
+    ii = integral(patch).data[None, :, :]
+    area = float(det.window_w * det.window_h)
+    score = 0.0
+    for s in det.stumps:
+        v = _patch_feature_values(s.feature, ii, area)[0]
+        if s.polarity * v < s.polarity * s.threshold:
+            score += s.alpha
+    return score
 
 
 def left_bright_patch(rng, flip=False):
@@ -68,8 +98,8 @@ class TestTrainBoosted:
         pos = [left_bright_patch(rng) for _ in range(12)]
         neg = [left_bright_patch(rng, flip=True) for _ in range(12)]
         det = train_boosted(SegmentKind.L12, pos, neg, rounds=1, seed=2, pool_size=400)
-        assert all(det.score_patch(p) >= det.accept_threshold for p in pos)
-        assert all(det.score_patch(n) < det.accept_threshold for n in neg)
+        assert all(score_patch(det, p) >= det.accept_threshold for p in pos)
+        assert all(score_patch(det, n) < det.accept_threshold for n in neg)
 
     def test_identical_patches_cannot_be_split(self):
         rng = np.random.default_rng(1)
@@ -92,7 +122,171 @@ class TestTrainBoosted:
         rng = np.random.default_rng(3)
         img = gray(rng.uniform(0.1, 0.6, WIN))
         shifted = gray(np.clip(img.data + 0.3, 0, 1))
-        assert det.score_patch(img) == pytest.approx(det.score_patch(shifted), abs=1e-9)
+        assert score_patch(det, img) == pytest.approx(score_patch(det, shifted), abs=1e-9)
+
+
+def _reference_train_boosted(kind, positives, negatives, rounds, seed=0, pool_size=2000):
+    """Discrete AdaBoost with whole-table passes per round over a (feature,
+    position) layout: np.cumsum prefix sums, np.where masks and a flat argmin.
+    The oracle for `train_boosted`, which must pick the same stumps."""
+    win_h, win_w = positives[0].data.shape
+    rng = np.random.Generator(np.random.PCG64(seed))
+    features = _sample_features(rng, win_w, win_h, pool_size)
+    patches = positives + negatives
+    ii_stack = np.stack([integral(p).data for p in patches])
+    area = float(win_w * win_h)
+    n = len(patches)
+    y = np.zeros(n, dtype=np.float64)
+    y[: len(positives)] = 1.0
+
+    values = np.empty((len(features), n), dtype=np.float64)
+    for fi, feat in enumerate(features):
+        values[fi] = _patch_feature_values(feat, ii_stack, area)
+    order = np.argsort(values, axis=1, kind="stable")
+    v_sorted = np.take_along_axis(values, order, axis=1)
+    y_sorted = np.take_along_axis(np.broadcast_to(y, values.shape), order, axis=1)
+    valid = np.ones_like(v_sorted, dtype=bool)
+    valid[:, :-1] = v_sorted[:, :-1] < v_sorted[:, 1:]
+
+    weights = np.full(n, 1.0 / n, dtype=np.float64)
+    available = np.ones((len(features), 1), dtype=bool)
+    eps_floor = 1.0 / (2.0 * n)
+    stumps = []
+    for _ in range(min(rounds, len(features))):
+        w_sorted = np.take_along_axis(np.broadcast_to(weights, values.shape), order, axis=1)
+        cpos = np.cumsum(w_sorted * y_sorted, axis=1)
+        cneg = np.cumsum(w_sorted * (1.0 - y_sorted), axis=1)
+        wpos = cpos[:, -1:]
+        err_p = cneg + (wpos - cpos)
+        err_m = 1.0 - err_p
+        usable = valid & available
+        err_p = np.where(usable, err_p, np.inf)
+        err_m = np.where(usable, err_m, np.inf)
+        best_p = np.unravel_index(np.argmin(err_p), err_p.shape)
+        best_m = np.unravel_index(np.argmin(err_m), err_m.shape)
+        if err_p[best_p] <= err_m[best_m]:
+            fi, si = best_p
+            polarity, eps = 1, float(err_p[best_p])
+        else:
+            fi, si = best_m
+            polarity, eps = -1, float(err_m[best_m])
+        if eps >= 0.5 - 1e-12:
+            break
+        if si == n - 1:
+            threshold = float(v_sorted[fi, si]) + 1.0
+        else:
+            threshold = float(v_sorted[fi, si] + v_sorted[fi, si + 1]) / 2.0
+        eps_c = min(max(eps, eps_floor), 1.0 - eps_floor)
+        alpha = 0.5 * np.log((1.0 - eps_c) / eps_c)
+        stumps.append(Stump(features[fi], threshold, polarity, float(alpha)))
+        available[fi] = False
+        pred = (polarity * values[fi] < polarity * threshold).astype(np.float64)
+        wrong = pred != y
+        weights = weights * np.exp(np.where(wrong, alpha, -alpha))
+        weights /= weights.sum()
+    if not stumps:
+        raise NoUsefulFeatureError("no stump beat chance")
+    det = BoostedDetector(kind, win_w, win_h, stumps)
+    det.accept_threshold = 0.5 * det.alpha_sum()
+    return det
+
+
+
+def _column_patches(rng, count, bright_left):
+    """8x8 patches constant down each column, in steps of 1/4: feature values
+    are exact and repeat, and two-rect-vertical features are all zero."""
+    cols = rng.integers(0, 5, (count, 8)) / 4.0
+    if bright_left:
+        cols[:, :4] = np.maximum(cols[:, :4], 0.5)
+    return [gray(np.repeat(c[None, :], 8, axis=0)) for c in cols]
+
+
+def _fewest_mistakes(row, n_pos):
+    """Fewest misclassified patches of any threshold stump, either polarity,
+    on one feature's values (positives first)."""
+    best = len(row)
+    for cut in set(row):
+        wrong = sum((v <= cut) != (i < n_pos) for i, v in enumerate(row))
+        best = min(best, wrong, len(row) - wrong)
+    return best
+
+
+def _booster_case(name, seed):
+    """(positives, negatives, rounds, pool_size) of one oracle case."""
+    rng = np.random.default_rng([sum(map(ord, name)), seed])
+    if name == "repeated_values":
+        pos = _column_patches(rng, 14, True)
+        neg = _column_patches(rng, 14, False)
+        return pos + pos[:3], neg + pos[3:5], 16, 150
+    if name == "rounds_above_pool":
+        return [flat_patch(rng) for _ in range(9)], [flat_patch(rng) for _ in range(11)], 20, 6
+    if name == "feature_tie":
+        # sixteen equal weights: round one's errors are exact sixteenths, so
+        # features reach the best one at different sorted positions
+        return [flat_patch(rng) for _ in range(8)], [flat_patch(rng) for _ in range(8)], 4, 300
+    if name == "polarity_tie":
+        return [flat_patch(rng)], [flat_patch(rng)], 3, 50
+    if name == "halt":
+        # constant patches: every feature is 0, so the one usable split puts
+        # all patches on one side; after it the classes weigh the same
+        return [gray(np.full(WIN, 0.5))] * 3, [gray(np.full(WIN, 0.25))] * 5, 30, 100
+    if name == "graded":
+        pos = [left_bright_patch(rng) for _ in range(20)]
+        neg = [flat_patch(rng) for _ in range(14)] + [left_bright_patch(rng, flip=True) for _ in range(8)]
+        return pos, neg, 24, 400
+    raise KeyError(name)
+
+
+class TestBoosterOracle:
+    """`train_boosted` picks the reference's stumps, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "name", ["repeated_values", "rounds_above_pool", "feature_tie", "polarity_tie", "halt", "graded"]
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_same_stumps_as_reference(self, name, seed):
+        pos, neg, rounds, pool_size = _booster_case(name, seed)
+        want = _reference_train_boosted(SegmentKind.NOSE, pos, neg, rounds, seed, pool_size)
+        got = train_boosted(SegmentKind.NOSE, pos, neg, rounds, seed, pool_size)
+        assert got.stumps == want.stumps
+        assert got.accept_threshold == want.accept_threshold
+        # what each case is there to exercise
+        win_h, win_w = pos[0].data.shape
+        features = _sample_features(np.random.Generator(np.random.PCG64(seed)), win_w, win_h, pool_size)
+        ii = np.stack([integral(p).data for p in pos + neg])
+        table = [tuple(_patch_feature_values(f, ii, float(win_w * win_h)).tolist()) for f in features]
+        if name == "repeated_values":
+            assert any(len(set(row)) < len(row) for row in table)
+        if name == "rounds_above_pool":
+            assert len(features) < rounds and len(got.stumps) <= len(features)
+        if name == "feature_tie":
+            mistakes = [_fewest_mistakes(row, len(pos)) for row in table]
+            assert mistakes.count(min(mistakes)) >= 2
+        if name == "polarity_tie":
+            # each polarity has a feature that splits the pair perfectly
+            assert any(r[0] < r[1] for r in table) and any(r[0] > r[1] for r in table)
+            assert got.stumps[0].polarity == 1
+        if name == "halt":
+            assert len(got.stumps) < min(rounds, len(features))
+
+    def test_no_stump_raises_like_reference(self):
+        rng = np.random.default_rng(1)
+        patch = left_bright_patch(rng)
+        same = [gray(patch.data.copy()) for _ in range(6)]
+        with pytest.raises(NoUsefulFeatureError):
+            _reference_train_boosted(SegmentKind.L12, same[:3], same[3:], 5, 0, 100)
+        with pytest.raises(NoUsefulFeatureError):
+            train_boosted(SegmentKind.L12, same[:3], same[3:], 5, 0, 100)
+
+    def test_feature_table_matches_per_feature_reference(self):
+        rng = np.random.default_rng(12)
+        ii = np.stack([integral(gray(rng.uniform(0, 1, (9, 13)))).data for _ in range(17)])
+        features = _sample_features(np.random.Generator(np.random.PCG64(4)), 13, 9, 300)
+        assert {f.kind for f in features} == {HAAR_TWO_H, HAAR_TWO_V, HAAR_THREE_H}
+        table = _feature_values_on_patches(features, ii, 117.0)
+        assert table.shape == (17, len(features))
+        for fi, f in enumerate(features):
+            assert table[:, fi].tolist() == _patch_feature_values(f, ii, 117.0).tolist()
 
 
 class TestDetectSegments:
@@ -183,9 +377,26 @@ def _oracle_scores(det, origins, stack):
     area = float(det.window_w * det.window_h)
     raw = np.zeros(len(origins))
     for st in det.stumps:
-        v = _feature_values_on_patches(st.feature, stack, area)
+        v = _patch_feature_values(st.feature, stack, area)
         raw += st.alpha * (st.polarity * v < st.polarity * st.threshold)
     return dict(zip(origins, raw.tolist()))
+
+
+def _hit_keys(hits):
+    return sorted((int(h.kind), h.box.x, h.box.y, h.box.w, h.box.h, h.score) for h in hits)
+
+
+def _ladder_hits(img, dets, scales, stride):
+    """Every window of the whole ladder (accept threshold 0, `_nms` patched out)."""
+    return _hit_keys(detect_segments(img, dets, scales, stride=stride, nms_iou=1.0))
+
+
+def _single_rung_hits(img, dets, scales, stride):
+    """The same, from one single-rung scan per rung."""
+    hits = []
+    for s in scales:
+        hits.extend(detect_segments(img, dets, [s], stride=stride, nms_iou=1.0))
+    return _hit_keys(hits)
 
 
 class TestScanExactness:
@@ -215,7 +426,7 @@ class TestScanExactness:
                 area = float(det.window_w * det.window_h)
                 for i, st in enumerate(det.stumps):
                     at = int(rng.integers(0, len(stack)))
-                    thr = float(_feature_values_on_patches(st.feature, stack[at : at + 1], area)[0])
+                    thr = float(_patch_feature_values(st.feature, stack[at : at + 1], area)[0])
                     det.stumps[i] = Stump(st.feature, thr, st.polarity, st.alpha)
                 want = _oracle_scores(det, origins, stack)
                 hits = detect_segments(img, [det], [1.0], stride=stride, nms_iou=1.0)
@@ -225,6 +436,44 @@ class TestScanExactness:
                 assert all(got[o] == want[o] for o in want), (width, height, det.kind)
                 if (width, height) == (det.window_w, det.window_h):
                     assert list(got) == [(0, 0)]
+
+    @pytest.mark.parametrize("stride", [1, 2, 3, 4, 5])
+    def test_abutting_ladder_equals_single_rungs(self, monkeypatch, stride):
+        monkeypatch.setattr(weakdet, "_nms", lambda dets, iou_max: dets)
+        rng = np.random.default_rng(300 + stride)
+        dets = [
+            _exactness_detector(SegmentKind.EYE, 9, 7, rng),
+            _exactness_detector(SegmentKind.NOSE, 6, 10, rng),
+        ]
+        # w + 1 a multiple of the stride: each block starts where the last ends;
+        # the top rung is narrower than the Eye window
+        widths = [-(-target // stride) * stride - 1 for target in (45, 32, 20)] + [7]
+        img = gray(rng.uniform(0.0, 1.0, (60, widths[0])))
+        scales = [widths[0] / w for w in widths]
+        sizes = [(max(1, int(round(img.width / s))), max(1, int(round(img.height / s)))) for s in scales]
+        assert [w for w, _ in sizes] == widths
+        (blocks,) = _canvases(sizes, stride)
+        assert all(x1 == x0 + w + 1 for (_, x0), (_, x1), (w, _) in zip(blocks, blocks[1:], sizes))
+        assert _ladder_hits(img, dets, scales, stride) == _single_rung_hits(img, dets, scales, stride)
+
+    def test_two_canvas_ladder_equals_single_rungs(self, monkeypatch):
+        monkeypatch.setattr(weakdet, "_nms", lambda dets, iou_max: dets)
+        rng = np.random.default_rng(400)
+        dets = [
+            _exactness_detector(SegmentKind.EYE, 9, 7, rng),
+            _exactness_detector(SegmentKind.NOSE, 6, 10, rng),
+        ]
+        img = gray(rng.uniform(0.0, 1.0, (240, 320)))
+        scales = [1.2**i for i in range(6)]
+        sizes = [(max(1, int(round(img.width / s))), max(1, int(round(img.height / s)))) for s in scales]
+        assert [[r for r, _ in c] for c in _canvases(sizes, 4)] == [[0, 1], [2, 3, 4, 5]]
+        assert _ladder_hits(img, dets, scales, 4) == _single_rung_hits(img, dets, scales, 4)
+
+    def test_default_frame_is_one_canvas(self):
+        sizes = [(int(round(160 / 1.2**i)), int(round(120 / 1.2**i))) for i in range(6)]
+        (blocks,) = _canvases(sizes, 4)
+        assert [r for r, _ in blocks] == list(range(6))
+        assert all(x0 % 4 == 0 for _, x0 in blocks)
 
 
 def _write_weak_model(tmp_path):
@@ -358,6 +607,6 @@ def test_detector_model_round_trip(tmp_path, simple_detector):
     back = load_detectors(path)
     assert len(back) == 1 and back[0].kind == det.kind
     assert back[0].accept_threshold == det.accept_threshold
-    assert all(back[0].score_patch(p) == det.score_patch(p) for p in pos[:5])
+    assert all(score_patch(back[0], p) == score_patch(det, p) for p in pos[:5])
     save_detectors(back, tmp_path / "weak2.txt")
     assert (tmp_path / "weak2.txt").read_text() == path.read_text()

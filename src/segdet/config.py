@@ -208,6 +208,9 @@ def validate_config(cfg: RunConfig) -> None:
     # accept_threshold = threshold_scale * alpha_sum / 2; above 2 it exceeds
     # alpha_sum, the largest raw score, so no window could ever be accepted
     need(0.0 < cfg.weak.threshold_scale <= 2.0, "weak.threshold_scale", "must be in (0, 2]")
+    # nan would fail every overlap test, so NMS would keep one hit per kind
+    need(0.0 <= cfg.weak.nms_iou <= 1.0, "weak.nms_iou", "must be in [0, 1]")
+    need(cfg.weak.negatives_per_image >= 1, "weak.negatives_per_image", "must be >= 1")
     need(cfg.svm.lam > 0, "svm.lambda", "must be positive")
     need(cfg.svm.epochs >= 1, "svm.epochs", "must be >= 1")
     need(0.0 < cfg.eval.far_target < 1.0, "eval.far_target", "must be in (0, 1)")

@@ -204,13 +204,10 @@ def resize_bilinear(img: GrayImageF, out_w: int, out_h: int) -> GrayImageF:
     x1 = np.clip(xf + 1, 0, iw - 1).astype(np.intp)
     y0 = np.clip(yf, 0, ih - 1).astype(np.intp)
     y1 = np.clip(yf + 1, 0, ih - 1).astype(np.intp)
-    v00 = src[np.ix_(y0, x0)]
-    v01 = src[np.ix_(y0, x1)]
-    v10 = src[np.ix_(y1, x0)]
-    v11 = src[np.ix_(y1, x1)]
-    top = v00 * (1.0 - fx) + v01 * fx
-    bot = v10 * (1.0 - fx) + v11 * fx
-    out = top * (1.0 - fy)[:, None] + bot * fy[:, None]
+    # separable: blend columns on every source row, then blend those rows;
+    # each output sample takes the same products and sums as a four-corner blend
+    hz = src[:, x0] * (1.0 - fx) + src[:, x1] * fx
+    out = hz[y0] * (1.0 - fy)[:, None] + hz[y1] * fy[:, None]
     return GrayImageF(out_w, out_h, out)
 
 

@@ -9,6 +9,9 @@ built-in detectors.
 
 from __future__ import annotations
 
+import functools
+import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -254,39 +257,86 @@ def _nms(dets: list[SegmentDetection], iou_max: float) -> list[SegmentDetection]
     return kept
 
 
-def _scan_scores(det: BoostedDetector, phases: list[list[np.ndarray]], nx: int, ny: int, stride: int) -> np.ndarray:
+_F64, _I64 = struct.Struct("<d"), struct.Struct("<q")
+# bit pattern of +inf: the nonnegative doubles order as their bit patterns do
+_INF_RANK = 0x7FF0_0000_0000_0000
+
+
+def _ranked(k: int) -> float:
+    """The double of rank k in -_INF_RANK..._INF_RANK: ranks order the
+    doubles from -inf through 0.0 (rank 0) to inf as their values do."""
+    (v,) = _F64.unpack(_I64.pack(abs(k)))
+    return -v if k < 0 else v
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _raw_threshold(threshold: float, area: float, polarity: int) -> float:
+    """Threshold T on a raw window sum v that decides a stump exactly as the
+    divided value does: for area > 0, fl(v / area) < threshold iff v < T at
+    polarity 1, and fl(v / area) > threshold iff v > T at polarity -1.
+
+    Division by a positive area is monotone under round-to-nearest, so the v
+    with fl(v / area) >= t form an up-set of the doubles. T is its least
+    element, found by bisecting the doubles' ranks; no threshold * area
+    product is formed, which could overflow or sit many subnormal steps from
+    T. inf / area is inf, so the set is nonempty unless t is nan, which no v
+    passes either way. Polarity -1 mirrors through fl(-v / area) =
+    -fl(v / area). Memoised on the floats, not on a detector, whose stumps
+    may be replaced.
+    """
+    t = polarity * threshold
+    if math.isnan(t):
+        return t
+    lo, hi = -_INF_RANK - 1, _INF_RANK  # lo stands below -inf and is never divided
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _ranked(mid) / area >= t:
+            hi = mid
+        else:
+            lo = mid
+    return polarity * _ranked(hi)
+
+
+def _scan_scores(det: BoostedDetector, phases: list[list[np.ndarray]], width: int, nx: int, ny: int, stride: int) -> np.ndarray:
     """Raw boosted score of every window on an ny x nx grid with step `stride`.
 
     `phases[py][px]` is the integral image's `[py::stride, px::stride]`
-    subsample, copied contiguous, so every corner lookup is a basic slice of
-    one phase (a view whose rows are contiguous); the arithmetic runs in three
-    grid-sized buffers with `out=`.
+    subsample, `width` columns wide and flattened, so a corner at window
+    offset (x, y) reads the whole grid as one contiguous slice of one phase,
+    from row y // stride, column x // stride. All ny * width positions are
+    scored; those in columns nx and beyond wrap into the next phase row, like
+    windows that straddle the canvas edge, and are dropped. Each phase has a
+    spare row below the last one a kept window reads, so the slices stay in
+    bounds.
     """
+    n = ny * width
 
     def corner(x: int, y: int) -> np.ndarray:
-        row, col = y // stride, x // stride
-        return phases[y % stride][x % stride][row : row + ny, col : col + nx]
+        start = y // stride * width + x // stride
+        return phases[y % stride][x % stride][start : start + n]
 
     area = float(det.window_w * det.window_h)
-    scores = np.zeros((ny, nx), dtype=np.float64)
+    scores = np.zeros(n, dtype=np.float64)
     value = np.empty_like(scores)
     term = np.empty_like(scores)
-    fires = np.empty((ny, nx), dtype=bool)
+    fires = np.empty(n, dtype=bool)
     for st in det.stumps:
         for i, (wgt, x, y, w, h) in enumerate(st.feature.rects()):
             t = term if i else value
             np.subtract(corner(x + w, y + h), corner(x + w, y), out=t)
             t -= corner(x, y + h)
             t += corner(x, y)
+            if i and wgt == -1:
+                value -= term  # exactly value + (-1) * term
+                continue
             if wgt != 1:
                 t *= wgt
             if i:
                 value += term
-        value /= area
         compare = np.less if st.polarity == 1 else np.greater
-        compare(value, st.threshold, out=fires)
+        compare(value, _raw_threshold(st.threshold, area, st.polarity), out=fires)
         np.add(scores, st.alpha, out=scores, where=fires)
-    return scores
+    return scores.reshape(ny, width)[:, :nx]
 
 
 # Largest float64 canvas, so a detector's passes over it stay in a 2 MiB L2
@@ -337,8 +387,9 @@ def detect_segments(
     computed and dropped. A kept window reads only its own block, whose values
     are its rung's integral image, so its score is the one a scan of that rung
     alone gives. The scan reads the canvas through its stride x stride phases
-    (copies of `canvas[py::stride, px::stride]`), which hold the same values
-    with contiguous rows. Rungs are grouped into canvases by `_canvases`, a
+    (flat copies of `canvas[py::stride, px::stride]`), which hold the same
+    values; the canvas is padded so that every phase has one shape and a
+    spare zero row. Rungs are grouped into canvases by `_canvases`, a
     function of the rung sizes only; a one-block canvas is a plain per-rung
     scan.
 
@@ -350,8 +401,10 @@ def detect_segments(
     added in stump order. A reordered sum (say over corner coefficients, or a
     tensordot over stumps) moves values by an ulp, which flips stumps whose
     threshold sits at a training value and moves scores by whole alphas. The
-    scan skips only exact identities: the leading 0 + and a weight of 1, and
-    it tests polarity -1 as value > threshold.
+    scan keeps to exact identities: it skips the leading 0 + and a weight of
+    1, writes a weight of -1 as a subtraction, tests polarity -1 as value >
+    threshold, and compares the undivided sum with `_raw_threshold`, which
+    gives every double the divided value's decision.
     """
     if not scales:
         raise ValueError("scale ladder must be nonempty")
@@ -366,11 +419,14 @@ def detect_segments(
     hits: list[SegmentDetection] = []
     for blocks in _canvases([(w, h) for w, h, _ in rungs], stride):
         last, x_last = blocks[-1]
-        canvas = np.zeros((max(rungs[r][1] for r, _ in blocks) + 1, x_last + rungs[last][0] + 1))
+        # every phase is (rows + 1) x width: a spare zero row past the canvas
+        rows = -(-(max(rungs[r][1] for r, _ in blocks) + 1) // stride)
+        width = -(-(x_last + rungs[last][0] + 1) // stride)
+        canvas = np.zeros(((rows + 1) * stride, width * stride))
         for r, x0 in blocks:
             ii = rungs[r][2]
             canvas[: ii.shape[0], x0 : x0 + ii.shape[1]] = ii
-        phases = [[np.ascontiguousarray(canvas[py::stride, px::stride]) for px in range(stride)] for py in range(stride)]
+        phases = [[canvas[py::stride, px::stride].ravel() for px in range(stride)] for py in range(stride)]
         for det in detectors:
             # (rung size, first grid column, nx, ny) of every block the window fits
             grids = []
@@ -384,7 +440,7 @@ def detect_segments(
                 continue
             nx = max(col + nx_b for *_, col, nx_b, _ in grids)
             ny = max(ny_b for *_, ny_b in grids)
-            canvas_scores = _scan_scores(det, phases, nx, ny, stride)
+            canvas_scores = _scan_scores(det, phases, width, nx, ny, stride)
             for w, h, col, nx_b, ny_b in grids:
                 scores = canvas_scores[:ny_b, col : col + nx_b]
                 sx = img.width / w

@@ -62,12 +62,19 @@ class TestConfig:
             ("weak.threshold_scale", "nan"),
             ("weak.threshold_scale", "0"),
             ("weak.threshold_scale", "2.5"),
+            ("weak.nms_iou", "nan"),
+            ("weak.nms_iou", "-0.1"),
+            ("weak.nms_iou", "1.5"),
+            ("weak.negatives_per_image", "0"),
+            ("weak.negatives_per_image", "-1"),
         ],
         ids=[
             "zeta", "scale_min_zero", "scale_min_negative", "width", "height", "noise",
             "scale_min_tiny", "scale_count_huge", "scale_factor_huge", "scale_min_top_rung_inf",
             "pool_size_zero", "net_lr", "hog_clip", "face_min_above_face_max",
             "threshold_scale_nan", "threshold_scale_zero", "threshold_scale_above_two",
+            "nms_iou_nan", "nms_iou_negative", "nms_iou_above_one",
+            "negatives_per_image_zero", "negatives_per_image_negative",
         ],
     )
     def test_range_violation_names_field(self, tmp_path, key, value):

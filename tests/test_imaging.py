@@ -95,7 +95,51 @@ class TestToGray:
         assert to_gray(img).data[0, 0] == pytest.approx(128 / 255)
 
 
+def _resize_reference(src, out_w, out_h):
+    """Bilinear resize from four `np.ix_` corner gathers: the reference for
+    `resize_bilinear`'s separable blend, which must give the same bytes."""
+    ih, iw = src.shape
+    xs = (np.arange(out_w, dtype=np.float64) + 0.5) * (iw / out_w) - 0.5
+    ys = (np.arange(out_h, dtype=np.float64) + 0.5) * (ih / out_h) - 0.5
+    xf = np.floor(xs)
+    yf = np.floor(ys)
+    fx = xs - xf
+    fy = ys - yf
+    x0 = np.clip(xf, 0, iw - 1).astype(np.intp)
+    x1 = np.clip(xf + 1, 0, iw - 1).astype(np.intp)
+    y0 = np.clip(yf, 0, ih - 1).astype(np.intp)
+    y1 = np.clip(yf + 1, 0, ih - 1).astype(np.intp)
+    v00 = src[np.ix_(y0, x0)]
+    v01 = src[np.ix_(y0, x1)]
+    v10 = src[np.ix_(y1, x0)]
+    v11 = src[np.ix_(y1, x1)]
+    top = v00 * (1.0 - fx) + v01 * fx
+    bot = v10 * (1.0 - fx) + v11 * fx
+    return top * (1.0 - fy)[:, None] + bot * fy[:, None]
+
+
 class TestResize:
+    @pytest.mark.parametrize(
+        "src_hw, out_wh",
+        [
+            ((23, 31), (31, 23)),  # identical size
+            ((23, 31), (1, 1)),
+            ((1, 1), (4, 4)),
+            ((7, 9), (36, 28)),  # 4x upscale: weak.scale_min can be 0.25
+            ((120, 160), (640, 480)),
+            ((17, 13), (5, 11)),  # odd sizes, down in x and up in y
+            ((120, 160), (133, 100)),  # a pyramid rung
+            ((75, 61), (28, 24)),  # canonical patch sizes (w, h)
+            ((40, 90), (56, 20)),
+            ((9, 40), (48, 48)),
+        ],
+    )
+    def test_equals_four_gather_reference(self, rng, src_hw, out_wh):
+        img = gray(rng.uniform(0, 1, src_hw))
+        out = resize_bilinear(img, *out_wh).data
+        want = _resize_reference(img.data, *out_wh)
+        assert out.shape == want.shape and out.tobytes() == want.tobytes()
+
     def test_identity(self, rng):
         img = gray(rng.uniform(0, 1, (5, 7)))
         out = resize_bilinear(img, 7, 5)

@@ -39,11 +39,8 @@ def test_benchmark_configs_parse(monkeypatch, tmp_path):
     assert parse_config(tmp_path / "weak.cfg").paths.data == "data_weak"
 
 
-def test_scan_counts_match_the_scan(monkeypatch):
-    """`_scan_counts` reads `detect_segments`'s positional arguments: its window
-    count is the per-rung grids' sum and its detection count the result's length."""
-    monkeypatch.syspath_prepend(str(BENCH))
-    tracing = importlib.import_module("tracing")
+def _scan_args():
+    """`detect_segments` arguments: a frame, two small detectors, three rungs."""
     stumps = [
         weakdet.Stump(weakdet.HaarFeature(weakdet.HAAR_TWO_H, BoxI(0, 0, 8, 6)), 0.0, 1, 0.5),
         weakdet.Stump(weakdet.HaarFeature(weakdet.HAAR_TWO_V, BoxI(1, 0, 5, 6)), 0.0, -1, 0.25),
@@ -51,7 +48,29 @@ def test_scan_counts_match_the_scan(monkeypatch):
     eye = weakdet.BoostedDetector(SegmentKind.EYE, 8, 6, stumps, 0.5)
     nose = weakdet.BoostedDetector(SegmentKind.NOSE, 6, 10, stumps[1:], 0.25)
     img = gray(np.random.default_rng(3).uniform(0, 1, (30, 41)))
-    args = (img, [eye, nose], [1.0, 1.5, 3.5], 3, 0.5)
+    return (img, [eye, nose], [1.0, 1.5, 3.5], 3, 0.5)
+
+
+def test_traced_scan_resizes_and_integrates_each_rung(monkeypatch):
+    """The pyramid calls `resize_bilinear` and `integral` once per rung through
+    `weakdet`'s globals, so `imaging.resize_s` and `integral_s` see the scan."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    args = _scan_args()
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        weakdet.detect_segments(*args)
+    names = [span[0] for span in tracer.spans]
+    assert names.count("weakdet.detect_segments") == 1
+    assert names.count("imaging.resize_bilinear") == names.count("imaging.integral") == len(args[2])
+
+
+def test_scan_counts_match_the_scan(monkeypatch):
+    """`_scan_counts` reads `detect_segments`'s positional arguments: its window
+    count is the per-rung grids' sum and its detection count the result's length."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    args = _scan_args()
     out = weakdet.detect_segments(*args)
     counts = {"weakdet.windows": 0, "weakdet.detections": 0}
     tracing._scan_counts(counts, args, {}, out)
@@ -59,6 +78,6 @@ def test_scan_counts_match_the_scan(monkeypatch):
     windows = 0
     for s in args[2]:
         everything = [weakdet.BoostedDetector(d.kind, d.window_w, d.window_h, d.stumps, -np.inf) for d in args[1]]
-        windows += len(weakdet.detect_segments(img, everything, [s], args[3], 1.0))
+        windows += len(weakdet.detect_segments(args[0], everything, [s], args[3], 1.0))
     assert counts["weakdet.windows"] == windows > 0
     assert counts["weakdet.detections"] == len(out) > 0

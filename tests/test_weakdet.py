@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segdet import cli, weakdet
 from segdet.errors import DegenerateDataError, NoUsefulFeatureError, ParseError, UnknownSegmentKindError
@@ -18,6 +21,7 @@ from segdet.weakdet import (
     _HAAR_UNITS,
     _canvases,
     _feature_values_on_patches,
+    _raw_threshold,
     _sample_features,
     detect_segments,
     export_detections,
@@ -410,10 +414,16 @@ class TestScanExactness:
             _exactness_detector(SegmentKind.NOSE, 6, 10, rng),
         ]
         sizes = [
-            (9 + 4 * stride, 7 + 2 * stride),  # last window touches right and bottom
+            # the last window touches right and bottom: its far corner is the
+            # last sample of its phase before the spare row
+            (9 + 4 * stride, 7 + 2 * stride),
+            (6 + 3 * stride, 10 + 2 * stride),  # the same for NOSE
             (9 + 4 * stride + stride // 2, 11 + 2 * stride),
             (9, 7),  # the EYE window equals the image
             (31, 23),
+            # w + 1 and h + 1 not multiples of strides 2-5: the canvas is padded
+            # and the wrapped reads of dropped columns cross phase rows
+            (10 + 4 * stride, 12 + 6 * stride),
         ]
         for width, height in sizes:
             img = gray(rng.uniform(0.0, 1.0, (height, width)))
@@ -456,6 +466,23 @@ class TestScanExactness:
         assert all(x1 == x0 + w + 1 for (_, x0), (_, x1), (w, _) in zip(blocks, blocks[1:], sizes))
         assert _ladder_hits(img, dets, scales, stride) == _single_rung_hits(img, dets, scales, stride)
 
+    @pytest.mark.parametrize("stride", [1, 2, 3, 4, 5])
+    def test_padded_canvas_equals_single_rungs(self, monkeypatch, stride):
+        monkeypatch.setattr(weakdet, "_nms", lambda dets, iou_max: dets)
+        rng = np.random.default_rng(500 + stride)
+        dets = [
+            _exactness_detector(SegmentKind.EYE, 9, 7, rng),
+            _exactness_detector(SegmentKind.NOSE, 6, 10, rng),
+        ]
+        img = gray(rng.uniform(0.0, 1.0, (46, 52)))
+        scales = [1.0, 1.3, 1.9, 2.9]
+        sizes = [(max(1, int(round(img.width / s))), max(1, int(round(img.height / s)))) for s in scales]
+        (blocks,) = _canvases(sizes, stride)
+        last, x_last = blocks[-1]
+        # canvas width x_last + 19 and height 47 are no multiple of 2, 3, 4 or 5
+        assert sizes[last][0] + 1 == 19 and max(h for _, h in sizes) + 1 == 47
+        assert _ladder_hits(img, dets, scales, stride) == _single_rung_hits(img, dets, scales, stride)
+
     def test_two_canvas_ladder_equals_single_rungs(self, monkeypatch):
         monkeypatch.setattr(weakdet, "_nms", lambda dets, iou_max: dets)
         rng = np.random.default_rng(400)
@@ -474,6 +501,38 @@ class TestScanExactness:
         (blocks,) = _canvases(sizes, 4)
         assert [r for r, _ in blocks] == list(range(6))
         assert all(x0 % 4 == 0 for _, x0 in blocks)
+
+
+def _ulps(v, k):
+    """v moved k representable doubles up (k > 0) or down."""
+    for _ in range(abs(k)):
+        v = math.nextafter(v, math.copysign(math.inf, k))
+    return v
+
+
+_HUGE = st.floats(min_value=1e300, max_value=sys.float_info.max)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    threshold=st.one_of(st.floats(allow_nan=False, allow_infinity=False), _HUGE, _HUGE.map(lambda v: -v)),
+    area=st.integers(min_value=1, max_value=4096),
+    steps=st.integers(min_value=-64, max_value=64),
+    other=st.floats(allow_nan=False),
+)
+def test_raw_threshold_decides_like_the_divided_value(threshold, area, steps, other):
+    """v < T iff fl(v / area) < threshold, and the mirror at polarity -1, for
+    raw sums next to threshold * area (which may overflow), next to T itself,
+    and anywhere."""
+    area = float(area)
+    below = _raw_threshold(threshold, area, 1)
+    above = _raw_threshold(threshold, area, -1)
+    product = threshold * area
+    if math.isinf(product):
+        product = math.copysign(sys.float_info.max, product)
+    for v in (_ulps(product, steps), _ulps(below, steps), _ulps(above, steps), other):
+        assert (v < below) == (v / area < threshold)
+        assert (v > above) == (v / area > threshold)
 
 
 def _write_weak_model(tmp_path):

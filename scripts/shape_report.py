@@ -3,7 +3,7 @@
 input dims, final feature grid, reduced grid, and flatten size."""
 
 from segdet import deepsegface as dsf
-from segdet.segments import ALL_KINDS, kind_name
+from segdet.segments import ALL_KINDS, default_layout, kind_name
 
 
 def report(cfg: dsf.NetworkConfig) -> None:
@@ -12,7 +12,7 @@ def report(cfg: dsf.NetworkConfig) -> None:
     print(header)
     print("-" * len(header))
     for kind in ALL_KINDS:
-        h, w = cfg.inputs[kind]
+        h, w = cfg.layout.canonical[kind]
         gh, gw = cfg.feature_grid(kind)
         print(
             f"{kind_name(kind):8} {f'{cfg.channels}x{h}x{w}':>12} "
@@ -23,7 +23,5 @@ def report(cfg: dsf.NetworkConfig) -> None:
 
 
 if __name__ == "__main__":
-    full = dsf.full_config()
-    full.validate()
-    report(full)
-    report(dsf.toy_config())
+    for scale in ("full", "toy"):
+        report(dsf.network_config(scale, default_layout(scale)))

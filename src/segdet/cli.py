@@ -262,9 +262,8 @@ def cmd_train_deepsegface(cfg: RunConfig, args, base: Path) -> int:
     by_image = _load_labeled_proposals(reports, "train")
     _, images = load_split(data, "train")
     labeled = [lp for a_path in by_image for lp in by_image[a_path]]
-    layout = cfg.layout()
-    net_cfg = dsf.network_config(cfg.net.scale, layout, cfg.net.dtype)
-    model = dsf.build_network(net_cfg, derive_seed(cfg.seed, "dsf-init"), layout)
+    net_cfg = dsf.network_config(cfg.net.scale, cfg.layout(), cfg.net.dtype)
+    model = dsf.build_network(net_cfg, derive_seed(cfg.seed, "dsf-init"))
     trace = dsf.train(model, labeled, images, cfg.net, derive_seed(cfg.seed, "dsf-train"))
     models.mkdir(parents=True, exist_ok=True)
     dsf.save_deepsegface(model, models / "deepsegface.txt")

@@ -19,7 +19,6 @@ from .errors import ConfigError, ConfigShapeError, SegdetError
 from .segface import HogParams
 from .segments import SegmentLayout, default_layout, layout_entry
 from .synth import SynthSpec
-from . import store
 
 
 @dataclass
@@ -196,7 +195,10 @@ def validate_config(cfg: RunConfig) -> None:
     need(cfg.weak.rounds >= 1, "weak.rounds", "must be >= 1")
     # a stump pool of size 0 leaves boosting nothing to pick
     need(cfg.weak.pool_size >= 1, "weak.pool_size", "must be >= 1")
-    need(cfg.weak.stride >= 1, "weak.stride", "must be >= 1")
+    # the scan builds stride^2 phases per canvas, and a step above the 8 px
+    # that cli._window_dims floors every window side at leaves pixels no
+    # window covers
+    need(1 <= cfg.weak.stride <= 8, "weak.stride", "must be in [1, 8]")
     # a rung at scale s holds 1/s^2 of the frame's pixels: at most 16x here
     need(cfg.weak.scale_min >= 0.25, "weak.scale_min", "must be >= 0.25")
     # with scale_count <= 64, scale_factor**63 <= 4**63 (about 8.5e37) stays finite
@@ -229,16 +231,3 @@ def validate_config(cfg: RunConfig) -> None:
     except ConfigShapeError as exc:
         raise ConfigError(f"net.scale = {cfg.net.scale} does not fit segments.layout: {exc}") from None
 
-
-def write_config(cfg: RunConfig, path) -> None:
-    """Emit every field as dotted keys (a parseable fixed point)."""
-    file_keys = {field_key: key for key, field_key in _KEY_ALIASES.items()}
-    lines = [f"seed = {cfg.seed}", f"segments.layout = {cfg.layout_scale}"]
-    for name, value in cfg.layout_overrides.items():
-        lines.append(f"segments.layout.{name} = {value}")
-    for section, cls in _SECTIONS.items():
-        obj = getattr(cfg, section)
-        for f in fields(cls):
-            key = f"{section}.{f.name}"
-            lines.append(f"{file_keys.get(key, key)} = {getattr(obj, f.name)}")
-    store.write_lines(path, lines)

@@ -25,7 +25,7 @@ from .imaging import GrayImageF, extract_patch
 from .neuralnet import FC, Conv2D, MaxPool2, ReLU, Softmax, backward, forward, sgd_step, xent
 from .priors import PriorTable, build_priors, priors_from_entries, priors_to_entries, rerank_multiplier
 from .proposals import LabeledProposal, Proposal
-from .segments import ALL_KINDS, SegmentKind, SegmentLayout, default_layout, kind_name
+from .segments import ALL_KINDS, SegmentKind, SegmentLayout, kind_name
 from .segments import layout_from_entries, layout_to_entries
 from .seeding import derive_seed
 from . import store
@@ -40,28 +40,27 @@ class ConvBlock:
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Layer-graph parameters; the full and toy presets are both instances."""
+    """A preset's layer-graph parameters; its layout's canonical sizes are the column inputs."""
 
     scale: str
     channels: int
-    inputs: dict[SegmentKind, tuple[int, int]]  # (h, w) per kind
+    layout: SegmentLayout
     blocks: tuple[ConvBlock, ...]
     reduce_maps: int
     fc_units: int
     classes: int = 2
     mean_pixel: float = 117.0  # on the 0..255 sample scale
     dtype: str = "float64"  # compute/parameter precision; float32 for speed
-    expected_flatten: dict[SegmentKind, int] | None = None
 
     def feature_grid(self, kind: SegmentKind) -> tuple[int, int]:
         """Spatial dims after the conv blocks (same-padding convs, pool-2 floors)."""
-        h, w = self.inputs[kind]
+        h, w = self.layout.canonical[kind]
         for blk in self.blocks:
             if blk.pool:
                 h, w = h // 2, w // 2
             if h < 1 or w < 1:
                 raise ConfigShapeError(
-                    f"{kind_name(kind)}: input {self.inputs[kind]} collapses to zero "
+                    f"{kind_name(kind)}: input {self.layout.canonical[kind]} collapses to zero "
                     f"spatial extent inside the column"
                 )
         return h, w
@@ -79,73 +78,24 @@ class NetworkConfig:
         return sum(self.flatten_size(k) for k in ALL_KINDS)
 
     def validate(self) -> None:
+        """Raise ConfigShapeError naming the first kind whose column collapses."""
         for kind in ALL_KINDS:
-            got = self.flatten_size(kind)
-            if self.expected_flatten is not None:
-                want = self.expected_flatten[kind]
-                if got != want:
-                    raise ConfigShapeError(
-                        f"{kind_name(kind)}: flatten size {got} != expected {want}"
-                    )
+            self.feature_grid(kind)
 
 
-# Flatten sizes of the validated full-scale configuration.
-FULL_FLATTEN_SIZES: dict[SegmentKind, int] = {
-    SegmentKind.NOSE: 200,
-    SegmentKind.EYE: 250,
-    SegmentKind.UL34: 800,
-    SegmentKind.UR34: 800,
-    SegmentKind.U12: 900,
-    SegmentKind.L34: 1200,
-    SegmentKind.UL12: 450,
-    SegmentKind.R12: 900,
-    SegmentKind.L12: 900,
+# scale -> (channels, conv blocks, reduce_maps, fc_units): "full" is the paper's
+# network (VGG16-style columns), "toy" the small one training and evaluation run.
+PRESETS: dict[str, tuple[int, tuple[ConvBlock, ...], int, int]] = {
+    "full": (3, (ConvBlock(64, 2), ConvBlock(128, 2), ConvBlock(256, 3), ConvBlock(512, 3), ConvBlock(512, 3)), 50, 250),
+    "toy": (1, (ConvBlock(8, 1), ConvBlock(16, 1)), 8, 64),
 }
-
-VGG_BLOCKS = (
-    ConvBlock(64, 2),
-    ConvBlock(128, 2),
-    ConvBlock(256, 3),
-    ConvBlock(512, 3),
-    ConvBlock(512, 3),
-)
-
-TOY_BLOCKS = (ConvBlock(8, 1), ConvBlock(16, 1))
+DTYPES = ("float32", "float64")
 
 
-def full_config(layout: SegmentLayout | None = None, dtype: str = "float64") -> NetworkConfig:
-    layout = layout or default_layout("full")
-    return NetworkConfig(
-        scale="full",
-        channels=3,
-        inputs=dict(layout.canonical),
-        blocks=VGG_BLOCKS,
-        reduce_maps=50,
-        fc_units=250,
-        dtype=dtype,
-        expected_flatten=dict(FULL_FLATTEN_SIZES),
-    )
-
-
-def toy_config(layout: SegmentLayout | None = None, dtype: str = "float64") -> NetworkConfig:
-    layout = layout or default_layout("toy")
-    return NetworkConfig(
-        scale="toy",
-        channels=1,
-        inputs=dict(layout.canonical),
-        blocks=TOY_BLOCKS,
-        reduce_maps=8,
-        fc_units=64,
-        dtype=dtype,
-    )
-
-
-def network_config(scale: str, layout: SegmentLayout | None = None, dtype: str = "float64") -> NetworkConfig:
-    if scale == "full":
-        return full_config(layout, dtype)
-    if scale == "toy":
-        return toy_config(layout, dtype)
-    raise ValueError(f"unknown network scale {scale!r}")
+def network_config(scale: str, layout: SegmentLayout, dtype: str = "float64") -> NetworkConfig:
+    """The preset `scale` on `layout`; callers check the names against PRESETS and DTYPES."""
+    channels, blocks, reduce_maps, fc_units = PRESETS[scale]
+    return NetworkConfig(scale, channels, layout, blocks, reduce_maps, fc_units, dtype=dtype)
 
 
 @dataclass
@@ -153,7 +103,6 @@ class DeepSegFaceModel:
     config: NetworkConfig
     columns: dict[SegmentKind, list]  # conv blocks + 1x1 reduce, per kind
     head: list
-    layout: SegmentLayout
     priors: PriorTable | None = None
 
     def params(self) -> list[np.ndarray]:
@@ -162,12 +111,10 @@ class DeepSegFaceModel:
         return [w for layer in layers for w in layer.params()]
 
 
-def build_network(config: NetworkConfig, seed: int | None = 0, layout: SegmentLayout | None = None) -> DeepSegFaceModel:
+def build_network(config: NetworkConfig, seed: int | None = 0) -> DeepSegFaceModel:
     """Construct all columns and the head, He-initialized from `seed`, or
     zero-filled when `seed` is None (for a reader that sets every parameter)."""
     config.validate()
-    if layout is None:
-        layout = default_layout(config.scale)
     dtype = np.dtype(config.dtype)
     columns: dict[SegmentKind, list] = {}
     for kind in ALL_KINDS:
@@ -191,7 +138,7 @@ def build_network(config: NetworkConfig, seed: int | None = 0, layout: SegmentLa
         FC(config.fc_units, config.classes, rng=rng, dtype=dtype),
         Softmax(),
     ]
-    return DeepSegFaceModel(config, columns, head, layout)
+    return DeepSegFaceModel(config, columns, head)
 
 
 FACE_CLASS = 0  # softmax output index for "face"
@@ -225,7 +172,7 @@ def _segment_rows(model: DeepSegFaceModel, proposals: list[Proposal], images: di
     cfg = model.config
     inputs, ids = {}, {}
     for kind in ALL_KINDS:
-        h, w = cfg.inputs[kind]
+        h, w = cfg.layout.canonical[kind]
         row_of, firsts = _column_rows(proposals, kind)
         x = np.zeros((len(firsts) + (row_of == len(firsts)).any(), cfg.channels, h, w), dtype=cfg.dtype)
         for r, i in enumerate(firsts):
@@ -294,7 +241,7 @@ def score_proposals(model: DeepSegFaceModel, proposals: list[Proposal], images: 
 class TrainParams:
     """DeepSegFace training settings: the run config's `net` section."""
 
-    scale: str = "toy"  # network preset of network_config
+    scale: str = "toy"  # a key of PRESETS
     lr: float = 0.05
     momentum: float = 0.9
     weight_decay: float = 1e-4
@@ -303,10 +250,10 @@ class TrainParams:
     dtype: str = "float32"  # training precision; gradient checks use float64
 
     def __post_init__(self):
-        if self.scale not in ("toy", "full"):
-            raise ValueError(f"scale must be 'toy' or 'full', got {self.scale!r}")
-        if self.dtype not in ("float32", "float64"):
-            raise ValueError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
+        if self.scale not in PRESETS:
+            raise ValueError(f"scale must be one of {', '.join(PRESETS)}, got {self.scale!r}")
+        if self.dtype not in DTYPES:
+            raise ValueError(f"dtype must be one of {', '.join(DTYPES)}, got {self.dtype!r}")
         if not self.lr > 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.epochs < 1:
@@ -406,10 +353,7 @@ def _config_entries(cfg: NetworkConfig) -> list[tuple[str, str]]:
         ("mean_pixel", repr(cfg.mean_pixel)),
         ("dtype", cfg.dtype),
     ]
-    for kind in ALL_KINDS:
-        h, w = cfg.inputs[kind]
-        entries.append((f"input.{kind_name(kind)}", f"{h} {w}"))
-    return entries
+    return entries + [(f"input.{kind_name(k)}", "{} {}".format(*cfg.layout.canonical[k])) for k in ALL_KINDS]
 
 
 def _named_params(layers: list):
@@ -431,7 +375,7 @@ def save_deepsegface(model: DeepSegFaceModel, path) -> None:
     if model.priors is None:
         raise DegenerateTrainingSetError("refusing to save a model without priors")
     sections.append(("priors", priors_to_entries(model.priors)))
-    sections.append(("layout", layout_to_entries(model.layout)))
+    sections.append(("layout", layout_to_entries(model.config.layout)))
     store.write_sections(path, DSF_MAGIC, sections)
 
 
@@ -459,7 +403,7 @@ def load_deepsegface(path) -> DeepSegFaceModel:
     cfg_e, where = section("config")
     (scale,) = store.entry(cfg_e, "scale", (str,), where)
     (dtype,) = store.entry(cfg_e, "dtype", (str,), where)
-    if scale not in ("toy", "full") or dtype not in ("float32", "float64"):
+    if scale not in PRESETS or dtype not in DTYPES:
         raise ParseError(f"{where}: no preset for scale {scale!r} and dtype {dtype!r}")
     cfg = network_config(scale, layout, dtype)
     for key, text in _config_entries(cfg):
@@ -470,7 +414,7 @@ def load_deepsegface(path) -> DeepSegFaceModel:
     fc_shape = (cfg.concat_size, cfg.fc_units)
     if "p0.0" not in head or head["p0.0"].shape != fc_shape:
         raise ParseError(f"{path}: [head] p0.0: missing or not of shape {fc_shape}")
-    model = build_network(cfg, seed=None, layout=layout)
+    model = build_network(cfg, seed=None)
     for kind in ALL_KINDS:
         entries, cwhere = section(f"column kind={kind_name(kind)}")
         _set_params(model.columns[kind], _blobs(entries, cwhere), cwhere)

@@ -34,10 +34,6 @@ class ZeroDimensionError(SegdetError):
     pass
 
 
-class OutOfBoundsError(SegdetError):
-    pass
-
-
 # weak detectors
 class DegenerateDataError(SegdetError):
     pass

@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import (
     CorruptHeaderError,
-    OutOfBoundsError,
     UnsupportedChannelsError,
     UnsupportedFormatError,
     ZeroDimensionError,
@@ -216,16 +215,6 @@ def integral(img: GrayImageF) -> IntegralImage:
     ii = np.zeros((img.height + 1, img.width + 1), dtype=np.float64)
     np.cumsum(np.cumsum(img.data, axis=0), axis=1, out=ii[1:, 1:])
     return IntegralImage(img.width, img.height, ii)
-
-
-def box_sum(ii: IntegralImage, b: BoxI) -> float:
-    """Exact sum of the samples inside b via four-corner lookup."""
-    if b.x < 0 or b.y < 0 or b.x2 > ii.width or b.y2 > ii.height:
-        raise OutOfBoundsError(f"box {b.astuple()} exceeds {ii.width}x{ii.height} image")
-    if b.w == 0 or b.h == 0:
-        return 0.0
-    d = ii.data
-    return float(d[b.y2, b.x2] - d[b.y, b.x2] - d[b.y2, b.x] + d[b.y, b.x])
 
 
 def crop(img, b: BoxI):

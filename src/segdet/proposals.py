@@ -123,13 +123,6 @@ def dedupe_clusters(clusters: list[Cluster]) -> list[Cluster]:
     return kept
 
 
-def count_subsets(n: int, kmin: int) -> int:
-    """Number of subsets of size kmin..n of an n-element set."""
-    if not (0 <= kmin <= n <= 9):
-        raise ValueError(f"need 0 <= kmin <= n <= 9, got n={n}, kmin={kmin}")
-    return sum(math.comb(n, k) for k in range(kmin, n + 1))
-
-
 @dataclass(frozen=True)
 class Proposal:
     """A co-clustered segment subset plus the face box it implies (see

@@ -129,13 +129,6 @@ class LinearModel:
         return cls(np.zeros(dim, dtype=np.float64), 0.0)
 
 
-def svm_objective(model: LinearModel, X: np.ndarray, y: np.ndarray, lam: float) -> float:
-    """Regularized empirical hinge loss."""
-    margins = X @ model.weights + model.bias
-    hinge = np.maximum(0.0, 1.0 - y * margins).mean()
-    return 0.5 * lam * float(model.weights @ model.weights) + float(hinge)
-
-
 def train_linear_svm(
     X: np.ndarray, y: np.ndarray, lam: float = 1e-4, epochs: int = 20, seed: int = 0
 ) -> LinearModel:

@@ -26,6 +26,14 @@ HAAR_TWO_H = "two-rect-horizontal"
 HAAR_TWO_V = "two-rect-vertical"
 HAAR_THREE_H = "three-rect-horizontal"
 
+# kind -> (sub-rect weights, True if they split the rect's width into
+# len(weights) equal parts, False if its height); _sample_features draws by index
+_HAAR: dict[str, tuple[tuple[int, ...], bool]] = {
+    HAAR_TWO_H: ((1, -1), True),
+    HAAR_TWO_V: ((1, -1), False),
+    HAAR_THREE_H: ((1, -2, 1), True),
+}
+
 
 @dataclass(frozen=True)
 class HaarFeature:
@@ -41,22 +49,21 @@ class HaarFeature:
     rect: BoxI
 
     def rects(self) -> list[tuple[int, int, int, int, int]]:
-        """(weight, x, y, w, h) sub-rectangles."""
-        r = self.rect
-        if self.kind == HAAR_TWO_H:
-            hw = r.w // 2
-            return [(1, r.x, r.y, hw, r.h), (-1, r.x + hw, r.y, hw, r.h)]
-        if self.kind == HAAR_TWO_V:
-            hh = r.h // 2
-            return [(1, r.x, r.y, r.w, hh), (-1, r.x, r.y + hh, r.w, hh)]
-        if self.kind == HAAR_THREE_H:
-            tw = r.w // 3
-            return [
-                (1, r.x, r.y, tw, r.h),
-                (-2, r.x + tw, r.y, tw, r.h),
-                (1, r.x + 2 * tw, r.y, tw, r.h),
-            ]
-        raise ValueError(f"unknown Haar kind {self.kind!r}")
+        """(weight, x, y, w, h) sub-rectangles, left to right or top to bottom."""
+        weights, split_w = _HAAR[self.kind]
+        x, y, w, h = self.rect.astuple()
+        out = []
+        if split_w:
+            w //= len(weights)
+            for wgt in weights:
+                out.append((wgt, x, y, w, h))
+                x += w
+        else:
+            h //= len(weights)
+            for wgt in weights:
+                out.append((wgt, x, y, w, h))
+                y += h
+        return out
 
 
 @dataclass(frozen=True)
@@ -115,26 +122,19 @@ def _sample_features(rng: np.random.Generator, win_w: int, win_h: int, pool_size
     pool: list[HaarFeature] = []
     attempts = 0
     max_attempts = pool_size * 20
-    kinds = (HAAR_TWO_H, HAAR_TWO_V, HAAR_THREE_H)
+    kinds = tuple(_HAAR)
     while len(pool) < pool_size and attempts < max_attempts:
         attempts += 1
-        kind = kinds[rng.integers(0, 3)]
-        if kind == HAAR_TWO_H:
-            unit, axis_len = 2, win_w
-        elif kind == HAAR_THREE_H:
-            unit, axis_len = 3, win_w
-        else:
-            unit, axis_len = 2, win_h
-        max_cells = axis_len // unit
+        kind = kinds[rng.integers(0, len(kinds))]
+        weights, split_w = _HAAR[kind]
+        unit = len(weights)
+        max_cells = (win_w if split_w else win_h) // unit
         if max_cells < 1:
             continue
+        # the split side first, then the other: the draw order fixes the pool
         span = unit * int(rng.integers(1, max_cells + 1))
-        if kind == HAAR_TWO_V:
-            w = int(rng.integers(2, win_w + 1))
-            h = span
-        else:
-            w = span
-            h = int(rng.integers(2, win_h + 1))
+        other = int(rng.integers(2, (win_h if split_w else win_w) + 1))
+        w, h = (span, other) if split_w else (other, span)
         x = int(rng.integers(0, win_w - w + 1))
         y = int(rng.integers(0, win_h - h + 1))
         key = (kind, x, y, w, h)
@@ -518,22 +518,18 @@ def save_detectors(detectors: list[BoostedDetector], path) -> None:
     store.write_sections(path, WEAK_MAGIC, sections)
 
 
-# width and height unit of each Haar kind: its sub-rects split the rect evenly
-_HAAR_UNITS = {HAAR_TWO_H: (2, 1), HAAR_TWO_V: (1, 2), HAAR_THREE_H: (3, 1)}
-
-
 def _stump(entries: dict[str, str], key: str, win_w: int, win_h: int, where: str) -> Stump:
     kname, x, y, w, h, thr, pol, alpha = store.entry(
         entries, key, (str, int, int, int, int, float, int, float), where
     )
     where = f"{where} {key}"
-    if kname not in _HAAR_UNITS:
+    if kname not in _HAAR:
         raise ParseError(f"{where}: unknown Haar kind {kname!r}")
     if w <= 0 or h <= 0 or x < 0 or y < 0 or x + w > win_w or y + h > win_h:
         raise ParseError(f"{where}: rect {x} {y} {w} {h} is not inside the {win_w}x{win_h} window")
-    unit_w, unit_h = _HAAR_UNITS[kname]
-    if w % unit_w or h % unit_h:
-        raise ParseError(f"{where}: {kname} rect {w}x{h} is not divisible by {unit_w}x{unit_h}")
+    weights, split_w = _HAAR[kname]
+    if (w if split_w else h) % len(weights):
+        raise ParseError(f"{where}: {kname} rect {w}x{h} does not split into {len(weights)} equal parts")
     if pol not in (1, -1):
         raise ParseError(f"{where}: polarity must be 1 or -1, got {pol}")
     return Stump(HaarFeature(kname, BoxI(x, y, w, h)), thr, pol, alpha)

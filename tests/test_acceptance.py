@@ -15,7 +15,7 @@ from segdet import neuralnet as nn
 from segdet.evaluate import ImageResult, iou, roc_curve, tar_at_far, recall_at_precision
 from segdet.imaging import BoxI, GrayImageF
 from segdet.priors import build_priors, prior_features
-from segdet.proposals import count_subsets, generate_proposals, import_proposals
+from segdet.proposals import generate_proposals, import_proposals
 from segdet.segments import (
     ALL_KINDS,
     SegmentDetection,
@@ -24,7 +24,7 @@ from segdet.segments import (
     kind_name,
 )
 
-from conftest import mk_labeled
+from conftest import count_subsets, mk_labeled
 from test_eval import (
     brute_force_recall_at_precision,
     brute_force_tar_at_far,
@@ -59,11 +59,11 @@ TABLE_ROWS = {
 
 def test_criterion_1_shape_fidelity():
     start = time.time()
-    cfg = dsf.full_config()
+    cfg = dsf.network_config("full", default_layout("full"))
     cfg.validate()
     for kind in ALL_KINDS:
         in_dims, grid, flatten = TABLE_ROWS[kind_name(kind)]
-        assert cfg.inputs[kind] == in_dims
+        assert cfg.layout.canonical[kind] == in_dims
         assert cfg.feature_grid(kind) == grid
         assert cfg.feature_channels == 512
         assert cfg.reduce_maps == 50
@@ -165,7 +165,7 @@ def test_criterion_3_gradient_correctness():
     from segdet.proposals import Proposal
 
     proposal = Proposal(segs, BoxI(0, 0, 80, 70), 0, "gc")
-    model = dsf.build_network(dsf.toy_config(LAYOUT, "float64"), seed, LAYOUT)
+    model = dsf.build_network(dsf.network_config("toy", LAYOUT, "float64"), seed)
     worst = _probe_gradients(
         model, proposal, {"gc": img}, 0, probes=3, prng=np.random.default_rng(seed + 1000)
     )

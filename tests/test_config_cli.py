@@ -1,15 +1,31 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from segdet import cli
+from segdet import cli, store
 from segdet import deepsegface as dsf
-from segdet.config import RunConfig, parse_config, validate_config, write_config
+from segdet.config import _KEY_ALIASES, _SECTIONS, RunConfig, parse_config, validate_config
 from segdet.errors import ConfigError
 from segdet.imaging import BoxI
 from segdet.segments import SegmentKind
 from segdet.synth import Annotation, SynthSpec
 
 from conftest import mk_proposal
+
+
+def write_config(cfg: RunConfig, path) -> None:
+    """Emit every field as dotted keys: the parser's fixed point."""
+    file_keys = {field_key: key for key, field_key in _KEY_ALIASES.items()}
+    lines = [f"seed = {cfg.seed}", f"segments.layout = {cfg.layout_scale}"]
+    for name, value in cfg.layout_overrides.items():
+        lines.append(f"segments.layout.{name} = {value}")
+    for section, cls in _SECTIONS.items():
+        obj = getattr(cfg, section)
+        for f in fields(cls):
+            key = f"{section}.{f.name}"
+            lines.append(f"{file_keys.get(key, key)} = {getattr(obj, f.name)}")
+    store.write_lines(path, lines)
 
 
 class TestConfig:
@@ -67,6 +83,8 @@ class TestConfig:
             ("weak.nms_iou", "1.5"),
             ("weak.negatives_per_image", "0"),
             ("weak.negatives_per_image", "-1"),
+            ("weak.stride", "9"),
+            ("weak.stride", "100000"),
         ],
         ids=[
             "zeta", "scale_min_zero", "scale_min_negative", "width", "height", "noise",
@@ -75,6 +93,7 @@ class TestConfig:
             "threshold_scale_nan", "threshold_scale_zero", "threshold_scale_above_two",
             "nms_iou_nan", "nms_iou_negative", "nms_iou_above_one",
             "negatives_per_image_zero", "negatives_per_image_negative",
+            "stride_above_eight", "stride_huge",
         ],
     )
     def test_range_violation_names_field(self, tmp_path, key, value):
@@ -135,6 +154,13 @@ class TestCliExitCodes:
         assert cli.main(["validate-config", "--config", str(p)]) == 2
         err = capsys.readouterr().err
         assert "net.scale" in err and "Nose" in err and "Traceback" not in err
+
+    def test_full_network_follows_layout_override(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("net.scale = full\nsegments.layout = full\nsegments.layout.Nose = 0.3 0.35 0.7 0.75 128 64\n")
+        assert cli.main(["validate-config", "--config", str(p)]) == 0
+        cfg = parse_config(p)
+        assert dsf.network_config("full", cfg.layout()).flatten_size(SegmentKind.NOSE) == 50 * 4 * 2
 
     def test_out_of_range_synth_size_exit_code(self, tmp_path, capsys):
         p = tmp_path / "run.cfg"

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from segdet import deepsegface as dsf
+from segdet.config import RunConfig
 from segdet.errors import ConfigShapeError, DegenerateTrainingSetError
 from segdet.imaging import BoxI
 from segdet.neuralnet import xent
-from segdet.priors import rerank_multiplier
+from segdet.priors import build_priors, rerank_multiplier
 from segdet.proposals import LabeledProposal, Proposal
 from segdet.segments import ALL_KINDS, SegmentDetection, SegmentKind, default_layout, kind_name
 
-from conftest import gray
+from conftest import gray, mk_labeled
 
 LAYOUT = default_layout("toy")
 
@@ -28,43 +29,38 @@ TABLE_FEATURE_GRIDS = {
 }
 
 
+FULL = dsf.network_config("full", default_layout("full"))
+
+
 class TestConfigs:
     def test_full_scale_flatten_sizes(self):
-        cfg = dsf.full_config()
-        cfg.validate()
-        assert cfg.flatten_size(SegmentKind.NOSE) == 200 == 50 * 2 * 2
-        assert cfg.concat_size == 6400
+        FULL.validate()
+        assert FULL.flatten_size(SegmentKind.NOSE) == 200 == 50 * 2 * 2
+        assert FULL.concat_size == 6400
 
     def test_full_scale_feature_grids(self):
-        cfg = dsf.full_config()
         for k in ALL_KINDS:
-            assert cfg.feature_grid(k) == TABLE_FEATURE_GRIDS[kind_name(k)]
-            assert cfg.feature_channels == 512
+            assert FULL.feature_grid(k) == TABLE_FEATURE_GRIDS[kind_name(k)]
+            assert FULL.feature_channels == 512
 
     def test_presets_take_dtype(self):
-        for scale in ("toy", "full"):
-            assert dsf.network_config(scale, None, "float32").dtype == "float32"
-            assert dsf.network_config(scale, None, "float64").dtype == "float64"
+        for scale in dsf.PRESETS:
+            for dtype in dsf.DTYPES:
+                assert dsf.network_config(scale, default_layout(scale), dtype).dtype == dtype
 
     def test_toy_ul12_flatten(self):
-        cfg = dsf.toy_config()
-        assert cfg.inputs[SegmentKind.UL12] == (32, 32)
+        cfg = dsf.network_config("toy", LAYOUT)
+        assert cfg.layout.canonical[SegmentKind.UL12] == (32, 32)
         assert cfg.feature_grid(SegmentKind.UL12) == (8, 8)
         assert cfg.flatten_size(SegmentKind.UL12) == 8 * 8 * 8 == 512
 
     def test_shape_error_names_kind(self):
-        cfg = dsf.full_config()
-        bad = dsf.NetworkConfig(
-            scale=cfg.scale,
-            channels=cfg.channels,
-            inputs=cfg.inputs,
-            blocks=cfg.blocks,
-            reduce_maps=49,  # breaks every flatten size
-            fc_units=cfg.fc_units,
-            expected_flatten=cfg.expected_flatten,
-        )
+        # five pool-2 stages floor the toy Nose input (24, 28) to zero rows
+        bad = dsf.network_config("full", LAYOUT)
         with pytest.raises(ConfigShapeError, match="Nose"):
             bad.validate()
+        with pytest.raises(ConfigShapeError, match="Nose"):
+            dsf.build_network(bad, seed=0)
 
 
 def tiny_setup(rng, n_images=6):
@@ -92,7 +88,7 @@ def tiny_setup(rng, n_images=6):
 def trained_toy():
     rng = np.random.default_rng(0)
     images, labeled = tiny_setup(rng)
-    model = dsf.build_network(dsf.toy_config(LAYOUT, "float64"), seed=3, layout=LAYOUT)
+    model = dsf.build_network(dsf.network_config("toy", LAYOUT, "float64"), seed=3)
     trace = dsf.train(
         model, labeled, images, dsf.TrainParams(lr=0.05, epochs=4, batch=8), seed=11
     )
@@ -184,7 +180,7 @@ class TestSharedRows:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_shared_rows_score_each_proposal_exactly(self, monkeypatch, dtype):
         images, batch = shared_segment_batch()
-        model = dsf.build_network(dsf.toy_config(LAYOUT, dtype), seed=8, layout=LAYOUT)
+        model = dsf.build_network(dsf.network_config("toy", LAYOUT, dtype), seed=8)
         alone = np.stack([forward(model, [p], images)[1].head_acts[0][0] for p in batch])
         seen = count_column_rows(monkeypatch, model)
         probs, state = forward(model, batch, images)
@@ -204,7 +200,7 @@ class TestSharedRows:
 
     def test_column_row_counts(self, monkeypatch):
         images, batch = shared_segment_batch()
-        model = dsf.build_network(dsf.toy_config(LAYOUT, "float64"), seed=8, layout=LAYOUT)
+        model = dsf.build_network(dsf.network_config("toy", LAYOUT, "float64"), seed=8)
         seen = count_column_rows(monkeypatch, model)
         dsf.score_proposals(model, batch, images)
         assert seen == {kind: [shared_rows(batch, kind)] for kind in ALL_KINDS}
@@ -234,7 +230,7 @@ class TestSharedRows:
             return extract(image, box, h, w)
 
         monkeypatch.setattr(dsf, "extract_patch", counted)
-        model = dsf.build_network(dsf.toy_config(LAYOUT, "float64"), seed=8, layout=LAYOUT)
+        model = dsf.build_network(dsf.network_config("toy", LAYOUT, "float64"), seed=8)
         dsf.train(model, labeled, images, dsf.TrainParams(epochs=2, batch=6), seed=4)
         segments = {(lp.proposal.source_image, kind, d.box) for lp in labeled for kind, d in lp.proposal.segments.items()}
         assert len(set(calls)) == len(calls) <= len(segments)
@@ -259,7 +255,7 @@ class TestTraining:
         b = proposal([SegmentKind.L12, SegmentKind.NOSE, SegmentKind.EYE])
         c = proposal([SegmentKind.R12, SegmentKind.EYE, SegmentKind.UL34])
         batch, labels = [a, b, a, c], np.array([0, 1, 0, 1])
-        model = dsf.build_network(dsf.toy_config(LAYOUT, "float64"), seed=5, layout=LAYOUT)
+        model = dsf.build_network(dsf.network_config("toy", LAYOUT, "float64"), seed=5)
 
         def grads(props, y):
             probs, state = forward(model, props, images)
@@ -276,7 +272,7 @@ class TestTraining:
         images, labeled = tiny_setup(rng, n_images=3)
         traces = []
         for _ in range(2):
-            model = dsf.build_network(dsf.toy_config(LAYOUT, "float64"), seed=4, layout=LAYOUT)
+            model = dsf.build_network(dsf.network_config("toy", LAYOUT, "float64"), seed=4)
             traces.append(
                 dsf.train(model, labeled, images, dsf.TrainParams(lr=0.05, epochs=3, batch=6), seed=9)
             )
@@ -285,7 +281,7 @@ class TestTraining:
     def test_single_class_rejected(self):
         rng = np.random.default_rng(7)
         images, labeled = tiny_setup(rng, n_images=2)
-        model = dsf.build_network(dsf.toy_config(LAYOUT, "float64"), seed=1, layout=LAYOUT)
+        model = dsf.build_network(dsf.network_config("toy", LAYOUT, "float64"), seed=1)
         with pytest.raises(DegenerateTrainingSetError):
             dsf.train(model, [lp for lp in labeled if lp.is_face], images, dsf.TrainParams(epochs=1), seed=0)
 
@@ -324,5 +320,18 @@ def test_model_file_round_trip(tmp_path, trained_toy):
     back = dsf.load_deepsegface(path)
     batch = [lp.proposal for lp in labeled]
     assert np.array_equal(dsf.score_proposals(back, batch, images), dsf.score_proposals(model, batch, images))
+    dsf.save_deepsegface(back, tmp_path / "again.txt")
+    assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+
+
+def test_overridden_layout_round_trip(tmp_path):
+    # the network reads its column inputs from the layout it is saved with
+    cfg = RunConfig(layout_overrides={"Nose": "0.25 0.3 0.75 0.8 20 24"})
+    model = dsf.build_network(dsf.network_config("toy", cfg.layout(), "float32"), seed=5)
+    model.priors = build_priors([mk_labeled([0, 1, 2], True), mk_labeled([3, 4, 5], False)])
+    path = tmp_path / "dsf.txt"
+    dsf.save_deepsegface(model, path)
+    back = dsf.load_deepsegface(path)
+    assert back.config.layout.canonical[SegmentKind.NOSE] == (20, 24)
     dsf.save_deepsegface(back, tmp_path / "again.txt")
     assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()

@@ -8,7 +8,6 @@ from segdet.evaluate import iou
 from segdet.imaging import BoxI, union_box
 from segdet.proposals import (
     cluster_detections,
-    count_subsets,
     dedupe_clusters,
     export_proposals,
     generate_proposals,
@@ -17,7 +16,7 @@ from segdet.proposals import (
 )
 from segdet.segments import ALL_KINDS, SegmentDetection, SegmentKind, default_layout
 
-from conftest import mk_proposal
+from conftest import count_subsets, mk_proposal
 
 LAYOUT = default_layout("toy")
 

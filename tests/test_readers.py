@@ -89,7 +89,7 @@ def _segface_model(path):
 
 
 def _deepsegface_model(path):
-    model = dsf.build_network(dsf.toy_config(dtype="float32"), seed=5)
+    model = dsf.build_network(dsf.network_config("toy", default_layout("toy"), "float32"), seed=5)
     model.priors = _priors()
     dsf.save_deepsegface(model, path)
 
@@ -181,7 +181,7 @@ def test_deepsegface_config_must_match_its_preset(tmp_path, old, new):
 
 
 def test_deepsegface_blob_shape_must_match_its_layer(tmp_path):
-    model = dsf.build_network(dsf.toy_config(dtype="float32"), seed=5)
+    model = dsf.build_network(dsf.network_config("toy", default_layout("toy"), "float32"), seed=5)
     model.priors = _priors()
     conv = model.columns[SegmentKind.NOSE][0]
     conv.bias = np.zeros(conv.bias.size + 1, dtype=conv.bias.dtype)

@@ -18,7 +18,6 @@ from segdet.segface import (
     load_segface,
     save_segface,
     score_proposal_segface,
-    svm_objective,
     train_linear_svm,
     train_segface,
 )
@@ -27,6 +26,13 @@ from segdet.segments import ALL_KINDS, SegmentDetection, SegmentKind, default_la
 from conftest import gray
 
 LAYOUT = default_layout("toy")
+
+
+def svm_objective(model: LinearModel, X: np.ndarray, y: np.ndarray, lam: float) -> float:
+    """Regularized empirical hinge loss: what the SVM's SGD descends."""
+    margins = X @ model.weights + model.bias
+    hinge = np.maximum(0.0, 1.0 - y * margins).mean()
+    return 0.5 * lam * float(model.weights @ model.weights) + float(hinge)
 
 
 class TestHog:

@@ -18,7 +18,7 @@ from segdet.weakdet import (
     BoostedDetector,
     HaarFeature,
     Stump,
-    _HAAR_UNITS,
+    _HAAR,
     _canvases,
     _feature_values_on_patches,
     _raw_threshold,
@@ -355,7 +355,8 @@ def _exactness_detector(kind, win_w, win_h, rng):
     ]
     for _ in range(19):
         fkind = (HAAR_TWO_H, HAAR_TWO_V, HAAR_THREE_H)[int(rng.integers(0, 3))]
-        uw, uh = _HAAR_UNITS[fkind]
+        weights, split_w = _HAAR[fkind]
+        uw, uh = (len(weights), 1) if split_w else (1, len(weights))
         w = uw * int(rng.integers(1, win_w // uw + 1))
         h = uh * int(rng.integers(1, win_h // uh + 1))
         x = int(rng.integers(0, win_w - w + 1))

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field, fields, make_dataclass
 from pathlib import Path
 
 from . import deepsegface as dsf
-from .errors import ConfigError, ConfigShapeError, SegdetError
-from .segface import HogParams
-from .segments import SegmentLayout, default_layout, layout_entry
+from .errors import ConfigError, ConfigShapeError, PatchTooSmallError, SegdetError
+from .segface import HogParams, hog_length
+from .segments import ALL_KINDS, SegmentLayout, default_layout, kind_name, layout_entry
 from .synth import SynthSpec
 
 
@@ -230,4 +230,10 @@ def validate_config(cfg: RunConfig) -> None:
         dsf.network_config(cfg.net.scale, layout, cfg.net.dtype).validate()
     except ConfigShapeError as exc:
         raise ConfigError(f"net.scale = {cfg.net.scale} does not fit segments.layout: {exc}") from None
+    for kind in ALL_KINDS:  # each kind's canonical patch must hold a HoG block
+        try:
+            hog_length(*layout.canonical[kind], cfg.hog)
+        except PatchTooSmallError as exc:
+            keys = f"hog.cell = {cfg.hog.cell} and hog.block = {cfg.hog.block}"
+            raise ConfigError(f"{keys} do not fit segments.layout.{kind_name(kind)}: {exc}") from None
 

@@ -2,15 +2,16 @@
 reduction, concatenation, a fully connected + softmax head, and prior-based
 re-ranking of the face probability.
 
-Training and inference share one row rule. The column inputs of a proposal
-list form one table per kind: one row per distinct present segment (source
-image, kind, box), then one exactly-zero row (applied after mean subtraction)
-if some proposal lacks the kind. A batch is each proposal's row per kind; each
-column runs once on the batch's distinct rows and every proposal reads its
-output row. An identical box gives an identical input, and a column's output
-row depends only on its input row, so sharing is bit-identical to evaluating
-each proposal alone. Backward sums the gradients of the proposals that read a
-row, the zero row included.
+Training and inference share the row rule of `proposals.segment_rows`, which
+SegFace uses too. The column inputs of a proposal list form one table per
+kind: one row per distinct present segment (source image, box), then one
+exactly-zero row (applied after mean subtraction) if some proposal lacks the
+kind. A batch is each proposal's row per kind; each column runs once on the
+batch's distinct rows and every proposal reads its output row. An identical
+box gives an identical input, and a column's output row depends only on its
+input row, so sharing is bit-identical to evaluating each proposal alone.
+Backward sums the gradients of the proposals that read a row, the zero row
+included.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import ConfigShapeError, DegenerateTrainingSetError, ParseError
 from .imaging import GrayImageF, extract_patch
 from .neuralnet import FC, Conv2D, MaxPool2, ReLU, Softmax, backward, forward, sgd_step, xent
 from .priors import PriorTable, build_priors, priors_from_entries, priors_to_entries, rerank_multiplier
-from .proposals import LabeledProposal, Proposal
+from .proposals import LabeledProposal, Proposal, segment_rows
 from .segments import ALL_KINDS, SegmentKind, SegmentLayout, kind_name
 from .segments import layout_from_entries, layout_to_entries
 from .seeding import derive_seed
@@ -144,43 +145,24 @@ def build_network(config: NetworkConfig, seed: int | None = 0) -> DeepSegFaceMod
 FACE_CLASS = 0  # softmax output index for "face"
 
 
-@dataclass
-class _SegmentRows:
-    """The column inputs of a proposal list, one table per kind."""
-
-    inputs: dict[SegmentKind, np.ndarray]  # (rows, channels, h, w)
-    ids: dict[SegmentKind, np.ndarray]  # each proposal's row
-
-
-def _column_rows(proposals: list[Proposal], kind: SegmentKind):
-    """(row_of, firsts): proposal i's row, keyed by its segment's (source
-    image, box), and a proposal holding each present row; proposals lacking
-    the kind map to the zero row, len(firsts)."""
-    keys = [(p.source_image, p.segments[kind].box.astuple()) if kind in p.segments else None for p in proposals]
-    rows: dict = {}
-    firsts: list[int] = []
-    for i, key in enumerate(keys):
-        if key is not None and key not in rows:
-            rows[key] = len(firsts)
-            firsts.append(i)
-    return np.array([rows.get(key, len(firsts)) for key in keys], dtype=np.intp), firsts
-
-
-def _segment_rows(model: DeepSegFaceModel, proposals: list[Proposal], images: dict[str, GrayImageF]) -> _SegmentRows:
-    """Canonical-size, mean-subtracted patches, one per distinct present
-    segment, then a zero row for a kind that some proposal lacks."""
+def _segment_rows(
+    model: DeepSegFaceModel, proposals: list[Proposal], images: dict[str, GrayImageF]
+) -> dict[SegmentKind, tuple[np.ndarray, np.ndarray]]:
+    """Per kind, (inputs, row_of): canonical-size, mean-subtracted patches, one
+    per `segment_rows` row, then a zero row if some proposal lacks the kind;
+    and each proposal's row."""
     cfg = model.config
-    inputs, ids = {}, {}
+    rows = {}
     for kind in ALL_KINDS:
         h, w = cfg.layout.canonical[kind]
-        row_of, firsts = _column_rows(proposals, kind)
+        row_of, firsts = segment_rows(proposals, kind)
         x = np.zeros((len(firsts) + (row_of == len(firsts)).any(), cfg.channels, h, w), dtype=cfg.dtype)
         for r, i in enumerate(firsts):
             p = proposals[i]
             patch = extract_patch(images[p.source_image], p.segments[kind].box, h, w).data
             x[r] = (patch - cfg.mean_pixel / 255.0).astype(cfg.dtype, copy=False)  # broadcast over channels
-        inputs[kind], ids[kind] = x, row_of
-    return _SegmentRows(inputs, ids)
+        rows[kind] = (x, row_of)
+    return rows
 
 
 class _BatchState:
@@ -193,7 +175,7 @@ class _BatchState:
 
 
 def _forward_batch(
-    model: DeepSegFaceModel, rows: _SegmentRows, pick: np.ndarray | None = None
+    model: DeepSegFaceModel, rows: dict, pick: np.ndarray | None = None
 ) -> tuple[np.ndarray, _BatchState]:
     """Probabilities (N, classes) for the proposals `pick` of a row table
     (all of them by default). Each column runs once on the batch's distinct
@@ -202,9 +184,9 @@ def _forward_batch(
     state = _BatchState()
     parts = []
     for kind in ALL_KINDS:
-        ids = rows.ids[kind] if pick is None else rows.ids[kind][pick]
-        used, row_of = np.unique(ids, return_inverse=True)
-        acts = forward(model.columns[kind], rows.inputs[kind][used])
+        inputs, ids = rows[kind]
+        used, row_of = np.unique(ids if pick is None else ids[pick], return_inverse=True)
+        acts = forward(model.columns[kind], inputs[used])
         state.column_acts[kind] = acts
         state.row_of[kind] = row_of
         parts.append(acts[-1].reshape(len(used), cfg.flatten_size(kind))[row_of])
@@ -394,18 +376,23 @@ def load_deepsegface(path) -> DeepSegFaceModel:
     """Read a DeepSegFace model file.
 
     The network is the preset named by the stored `scale` and `dtype`, built
-    on the stored layout; every other stored config field must equal the
-    preset's and every parameter blob must fit its layer, or ParseError names
-    the entry.
+    on the stored layout, which must fit it; every other stored config field
+    must equal the preset's and every parameter blob must fit its layer, or
+    ParseError names the entry.
     """
     section = store.model_sections(path, DSF_MAGIC)
-    layout = layout_from_entries(*section("layout"))
+    layout_e, layout_where = section("layout")
+    layout = layout_from_entries(layout_e, layout_where)
     cfg_e, where = section("config")
     (scale,) = store.entry(cfg_e, "scale", (str,), where)
     (dtype,) = store.entry(cfg_e, "dtype", (str,), where)
     if scale not in PRESETS or dtype not in DTYPES:
         raise ParseError(f"{where}: no preset for scale {scale!r} and dtype {dtype!r}")
     cfg = network_config(scale, layout, dtype)
+    try:
+        cfg.validate()
+    except ConfigShapeError as exc:
+        raise ParseError(f"{layout_where} {exc}") from None
     for key, text in _config_entries(cfg):
         if store.entry_text(cfg_e, key, where) != text:
             raise ParseError(f"{where} {key}: {cfg_e[key]!r} differs from the preset's {text!r}")

@@ -147,6 +147,21 @@ class LabeledProposal:
     overlap: float
 
 
+def segment_rows(proposals: list[Proposal], kind: SegmentKind) -> tuple[np.ndarray, list[int]]:
+    """The row rule both classifiers share: one row per distinct present
+    segment of `kind`, keyed on (source image, box). Returns (row_of, firsts):
+    each proposal's row, and the first proposal holding each row; proposals
+    lacking the kind get row len(firsts)."""
+    keys = [(p.source_image, p.segments[kind].box.astuple()) if kind in p.segments else None for p in proposals]
+    rows: dict = {}
+    firsts: list[int] = []
+    for i, key in enumerate(keys):
+        if key is not None and key not in rows:
+            rows[key] = len(firsts)
+            firsts.append(i)
+    return np.array([rows.get(key, len(firsts)) for key in keys], dtype=np.intp), firsts
+
+
 def _subset_proposal(
     picked: list[SegmentDetection],
     cluster_id: int,

@@ -14,14 +14,13 @@ import numpy as np
 
 from .errors import (
     DegenerateLabelsError,
-    DegenerateTrainingSetError,
     DimensionMismatchError,
     ParseError,
     PatchTooSmallError,
 )
 from .imaging import GrayImageF, extract_patch
 from .priors import PriorTable, build_priors, prior_features, priors_from_entries, priors_to_entries
-from .proposals import LabeledProposal, Proposal
+from .proposals import LabeledProposal, Proposal, segment_rows
 from .segments import (
     ALL_KINDS,
     NUM_KINDS,
@@ -53,8 +52,20 @@ class HogParams:
             raise ValueError(f"clip must be in (0, 1], got {self.clip}")
 
 
-def hog_length(h: int, w: int, p: HogParams) -> int:
+def _cell_grid(h: int, w: int, p: HogParams) -> tuple[int, int]:
+    """Cells down and across an h x w patch; PatchTooSmallError unless each
+    side holds a block."""
     ncy, ncx = h // p.cell, w // p.cell
+    if ncy < p.block or ncx < p.block:
+        raise PatchTooSmallError(
+            f"patch {h}x{w} yields {ncy}x{ncx} cells; need at least {p.block} per side"
+        )
+    return ncy, ncx
+
+
+def hog_length(h: int, w: int, p: HogParams) -> int:
+    """The length of `hog` on an h x w patch."""
+    ncy, ncx = _cell_grid(h, w, p)
     nby = (ncy - p.block) // p.block_stride + 1
     nbx = (ncx - p.block) // p.block_stride + 1
     return nby * nbx * p.block * p.block * p.bins
@@ -68,13 +79,8 @@ def hog(patch: GrayImageF, params: HogParams = HogParams()) -> np.ndarray:
     blocks normalized, clipped and renormalized, concatenated row-major.
     """
     img = patch.data
-    h, w = img.shape
     p = params
-    ncy, ncx = h // p.cell, w // p.cell
-    if ncy < p.block or ncx < p.block:
-        raise PatchTooSmallError(
-            f"patch {h}x{w} yields {ncy}x{ncx} cells; need at least {p.block} per side"
-        )
+    ncy, ncx = _cell_grid(*img.shape, p)
     gy, gx = np.gradient(img)
     mag = np.hypot(gx, gy)
     ang = np.degrees(np.arctan2(gy, gx)) % 180.0
@@ -89,18 +95,17 @@ def hog(patch: GrayImageF, params: HogParams = HogParams()) -> np.ndarray:
     b0 = b0.astype(np.intp) % p.bins
     b1 = (b0 + 1) % p.bins
 
-    cy = np.repeat(np.arange(ncy), p.cell)[:, None]
-    cx = np.repeat(np.arange(ncx), p.cell)[None, :]
-    cy = np.broadcast_to(cy, (hy, hx))
-    cx = np.broadcast_to(cx, (hy, hx))
-    hist = np.zeros((ncy, ncx, p.bins), dtype=np.float64)
-    np.add.at(hist, (cy, cx, b0), mag * (1.0 - frac))
-    np.add.at(hist, (cy, cx, b1), mag * frac)
+    # both votes of every pixel in one pass over flat (cell, bin) indices:
+    # lower bins in pixel order, then upper bins
+    cell = (np.arange(hy) // p.cell)[:, None] * ncx + np.arange(hx) // p.cell
+    index = np.concatenate([(cell * p.bins + b0).ravel(), (cell * p.bins + b1).ravel()])
+    votes = np.concatenate([(mag * (1.0 - frac)).ravel(), (mag * frac).ravel()])
+    hist = np.bincount(index, votes, ncy * ncx * p.bins).reshape(ncy, ncx, p.bins)
 
     win = np.lib.stride_tricks.sliding_window_view(hist, (p.block, p.block), axis=(0, 1))
     win = win[:: p.block_stride, :: p.block_stride]
     nby, nbx = win.shape[0], win.shape[1]
-    blocks = win.transpose(0, 1, 3, 4, 2).reshape(nby, nbx, -1).astype(np.float64)
+    blocks = win.transpose(0, 1, 3, 4, 2).reshape(nby, nbx, -1)
     eps = 1e-9
     norms = np.sqrt((blocks**2).sum(axis=2, keepdims=True))
     blocks = blocks / (norms + eps)
@@ -179,22 +184,9 @@ class SegFaceModel:
     layout: SegmentLayout
 
 
-def _segment_hog(
-    image: GrayImageF,
-    det,
-    layout: SegmentLayout,
-    params: HogParams,
-    cache: dict | None,
-    image_id: str = "",
-) -> np.ndarray:
-    key = (image_id, int(det.kind), det.box.astuple())
-    if cache is not None and key in cache:
-        return cache[key]
+def _segment_hog(image: GrayImageF, det, layout: SegmentLayout, params: HogParams) -> np.ndarray:
     h, w = layout.canonical[det.kind]
-    vec = hog(extract_patch(image, det.box, h, w), params)
-    if cache is not None:
-        cache[key] = vec
-    return vec
+    return hog(extract_patch(image, det.box, h, w), params)
 
 
 def build_feature_vector(
@@ -204,11 +196,16 @@ def build_feature_vector(
     cache: dict | None = None,
 ) -> np.ndarray:
     """The 3M+2 vector: per-segment SVM margins (0 for absent kinds) followed
-    by the prior features."""
+    by the prior features. `cache` memoises each segment's margin under this
+    model, keyed on (source image, kind, box), so a dict may span images but
+    not models."""
+    memo = {} if cache is None else cache
     out = np.zeros(FEATURE_LEN, dtype=np.float64)
     for kind, det in p.segments.items():
-        vec = _segment_hog(image, det, model.layout, model.hog_params, cache, p.source_image)
-        out[int(kind)] = model.per_segment[kind].score(vec)
+        key = (p.source_image, int(kind), det.box.astuple())
+        if key not in memo:
+            memo[key] = model.per_segment[kind].score(_segment_hog(image, det, model.layout, model.hog_params))
+        out[int(kind)] = memo[key]
     out[NUM_KINDS:] = prior_features(p, model.priors)
     return out
 
@@ -222,7 +219,7 @@ def score_proposal_segface(
 
 def detect(model: SegFaceModel, image: GrayImageF, proposals: list[Proposal]):
     """Argmax detection: (box, score) of the highest-scoring proposal, or None
-    without proposals. The HoG cache lives for this one call (one image)."""
+    without proposals. The margin cache lives for this one call (one image)."""
     if not proposals:
         return None
     cache: dict = {}
@@ -240,7 +237,7 @@ def train_segface(
     epochs: int = 20,
     seed: int = 0,
 ) -> SegFaceModel:
-    """Two-stage training.
+    """Two-stage training, one HoG and one margin per `segment_rows` row.
 
     Stage 1 trains one SVM per segment kind on HoG of that kind's patches,
     face proposals against non-face proposals containing the kind; a kind
@@ -249,36 +246,25 @@ def train_segface(
     the master SVM. Priors come from the same training proposals.
     """
     priors = build_priors(labeled)  # raises DegenerateTrainingSetError when one class is empty
-    cache: dict = {}
+    proposals = [lp.proposal for lp in labeled]
+    y = np.array([1.0 if lp.is_face else -1.0 for lp in labeled])
+    F = np.zeros((len(labeled), FEATURE_LEN), dtype=np.float64)
     per_segment: dict[SegmentKind, LinearModel] = {}
     for kind in ALL_KINDS:
-        h, w = layout.canonical[kind]
-        dim = hog_length(h, w, hog_params)
-        rows = []
-        ys = []
-        for lp in labeled:
-            det = lp.proposal.segments.get(kind)
-            if det is None:
-                continue
-            img = images[lp.proposal.source_image]
-            rows.append(_segment_hog(img, det, layout, hog_params, cache, lp.proposal.source_image))
-            ys.append(1.0 if lp.is_face else -1.0)
-        ysa = np.array(ys)
-        if len(rows) < 2 or not (np.any(ysa > 0) and np.any(ysa < 0)):
-            per_segment[kind] = LinearModel.zero(dim)  # absent-class fallback
+        row_of, firsts = segment_rows(proposals, kind)
+        present = row_of < len(firsts)
+        ys = y[present]
+        if len(ys) < 2 or not (np.any(ys > 0) and np.any(ys < 0)):
+            # absent-class fallback: the zero model, whose margins F keeps at 0
+            per_segment[kind] = LinearModel.zero(hog_length(*layout.canonical[kind], hog_params))
             continue
-        per_segment[kind] = train_linear_svm(
-            np.stack(rows), ysa, lam, epochs, derive_seed(seed, "segsvm", kind_name(kind))
-        )
-
-    partial = SegFaceModel(hog_params, per_segment, LinearModel.zero(FEATURE_LEN), priors, layout)
-    F = np.stack(
-        [
-            build_feature_vector(lp.proposal, partial, images[lp.proposal.source_image], cache)
-            for lp in labeled
-        ]
-    )
-    y = np.array([1.0 if lp.is_face else -1.0 for lp in labeled])
+        segs = [proposals[i] for i in firsts]
+        X = np.stack([_segment_hog(images[p.source_image], p.segments[kind], layout, hog_params) for p in segs])
+        svm = train_linear_svm(X[row_of[present]], ys, lam, epochs, derive_seed(seed, "segsvm", kind_name(kind)))
+        per_segment[kind] = svm
+        F[present, int(kind)] = np.array([svm.score(x) for x in X])[row_of[present]]
+    for i, p in enumerate(proposals):
+        F[i, NUM_KINDS:] = prior_features(p, priors)
     master = train_linear_svm(F, y, lam, epochs, derive_seed(seed, "master"))
     return SegFaceModel(hog_params, per_segment, master, priors, layout)
 
@@ -312,18 +298,22 @@ def _linear_model(entries: dict[str, str], where: str, dim: int) -> LinearModel:
 
 
 def load_segface(path) -> SegFaceModel:
-    """Read a SegFace model file. Each segment SVM must have the HoG length of
-    its kind's canonical patch and the master FEATURE_LEN weights, or
-    ParseError names the entry."""
+    """Read a SegFace model file. Each kind's canonical patch must hold a HoG
+    block, each segment SVM must have the HoG length of that patch and the
+    master FEATURE_LEN weights, or ParseError names the entry."""
     section = store.model_sections(path, SEGFACE_MAGIC)
     entries, where = section("hog")
     values = [store.entry(entries, f.name, (type(f.default),), where)[0] for f in fields(HogParams)]
     with store.checked(where):
         hog_params = HogParams(*values)
-    layout = layout_from_entries(*section("layout"))
-    per_segment = {}
+    entries, where = section("layout")
+    layout = layout_from_entries(entries, where)
+    dims = {}
     for kind in ALL_KINDS:
-        dim = hog_length(*layout.canonical[kind], hog_params)
-        per_segment[kind] = _linear_model(*section(f"svm kind={kind_name(kind)}"), dim)
+        try:
+            dims[kind] = hog_length(*layout.canonical[kind], hog_params)
+        except PatchTooSmallError as exc:
+            raise ParseError(f"{where} {kind_name(kind)}: {exc}") from None
+    per_segment = {kind: _linear_model(*section(f"svm kind={kind_name(kind)}"), dims[kind]) for kind in ALL_KINDS}
     master = _linear_model(*section("master"), FEATURE_LEN)
     return SegFaceModel(hog_params, per_segment, master, priors_from_entries(*section("priors")), layout)

@@ -85,6 +85,8 @@ class TestConfig:
             ("weak.negatives_per_image", "-1"),
             ("weak.stride", "9"),
             ("weak.stride", "100000"),
+            ("hog.cell", "12"),
+            ("segments.layout.Nose", "0.3 0.35 0.7 0.75 12 12"),
         ],
         ids=[
             "zeta", "scale_min_zero", "scale_min_negative", "width", "height", "noise",
@@ -93,7 +95,7 @@ class TestConfig:
             "threshold_scale_nan", "threshold_scale_zero", "threshold_scale_above_two",
             "nms_iou_nan", "nms_iou_negative", "nms_iou_above_one",
             "negatives_per_image_zero", "negatives_per_image_negative",
-            "stride_above_eight", "stride_huge",
+            "stride_above_eight", "stride_huge", "hog_cell_above_eye_patch", "nose_patch_below_hog_block",
         ],
     )
     def test_range_violation_names_field(self, tmp_path, key, value):

@@ -13,6 +13,7 @@ from segdet.proposals import (
     generate_proposals,
     import_proposals,
     label_proposals,
+    segment_rows,
 )
 from segdet.segments import ALL_KINDS, SegmentDetection, SegmentKind, default_layout
 
@@ -236,3 +237,13 @@ def test_proposal_export_import_round_trip(tmp_path):
     assert back == {"im0": labeled}
     export_proposals(back, p2)
     assert p1.read_text() == p2.read_text()
+
+
+def test_segment_rows_key_on_source_image_and_box():
+    # a and b share their Nose segment; c has the same box in another image; d lacks Nose
+    a, b = mk_proposal([0, 1, 2], image_id="a"), mk_proposal([0, 1], image_id="a")
+    c, d = mk_proposal([0], image_id="b"), mk_proposal([1, 2], image_id="a")
+    row_of, firsts = segment_rows([a, b, c, d], SegmentKind.NOSE)
+    assert row_of.tolist() == [0, 0, 1, 2] and firsts == [0, 2]
+    row_of, firsts = segment_rows([a, b, c, d], SegmentKind.U12)
+    assert row_of.tolist() == [0, 0, 0, 0] and firsts == []

@@ -168,6 +168,34 @@ def test_layout_section_checks(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "old, new, kind",
+    [("Nose = 0.3 0.35 0.7 0.75 24 28", "Nose = 0.3 0.35 0.7 0.75 12 12", "Nose"), ("cell = 8", "cell = 12", "Eye")],
+)
+def test_segface_layout_must_hold_a_hog_block(tmp_path, old, new, kind):
+    _segface_model(tmp_path / "m.txt")
+    text = (tmp_path / "m.txt").read_text()
+    assert old in text
+    (tmp_path / "m.txt").write_text(text.replace(old, new, 1))
+    with pytest.raises(ParseError, match=rf"m\.txt: \[layout\] {kind}: patch"):
+        segface.load_segface(tmp_path / "m.txt")
+
+
+def test_deepsegface_layout_must_fit_its_preset(tmp_path):
+    # the full preset's [config] over the toy layout: its five pools floor Nose to nothing
+    _deepsegface_model(tmp_path / "m.txt")
+    text = (tmp_path / "m.txt").read_text()
+    layout = default_layout("toy")
+
+    def config_lines(scale):
+        return "\n".join(f"{k} = {v}" for k, v in dsf._config_entries(dsf.network_config(scale, layout, "float32")))
+
+    assert config_lines("toy") in text
+    (tmp_path / "m.txt").write_text(text.replace(config_lines("toy"), config_lines("full"), 1))
+    with pytest.raises(ParseError, match=r"m\.txt: \[layout\] Nose: input \(24, 28\) collapses"):
+        dsf.load_deepsegface(tmp_path / "m.txt")
+
+
+@pytest.mark.parametrize(
     "old, new",
     [("channels = 1", "channels = 100000"), ("fc_units = 64", "fc_units = 65"), ("dtype = float32", "dtype = int8")],
 )

@@ -3,11 +3,13 @@ import pytest
 
 from segdet.errors import DegenerateLabelsError, PatchTooSmallError
 from segdet.imaging import BoxI, extract_patch
-from segdet.priors import prior_features
+from segdet.priors import build_priors, prior_features
 from segdet import segface
 from segdet.proposals import LabeledProposal, Proposal
+from segdet.seeding import derive_seed
 from segdet.segface import (
     FEATURE_LEN,
+    NUM_KINDS,
     HogParams,
     LinearModel,
     SegFaceModel,
@@ -21,7 +23,7 @@ from segdet.segface import (
     train_linear_svm,
     train_segface,
 )
-from segdet.segments import ALL_KINDS, SegmentDetection, SegmentKind, default_layout
+from segdet.segments import ALL_KINDS, SegmentDetection, SegmentKind, default_layout, kind_name
 
 from conftest import gray
 
@@ -35,7 +37,65 @@ def svm_objective(model: LinearModel, X: np.ndarray, y: np.ndarray, lam: float) 
     return 0.5 * lam * float(model.weights @ model.weights) + float(hinge)
 
 
+def _reference_hog(patch, p=HogParams()):
+    """`hog` with its cell histograms built by two `np.add.at` passes over
+    broadcast cell grids: lower-bin votes of every pixel, then upper-bin ones."""
+    img = patch.data
+    h, w = img.shape
+    ncy, ncx = h // p.cell, w // p.cell
+    gy, gx = np.gradient(img)
+    mag = np.hypot(gx, gy)
+    ang = np.degrees(np.arctan2(gy, gx)) % 180.0
+    hy, hx = ncy * p.cell, ncx * p.cell
+    mag = mag[:hy, :hx]
+    ang = ang[:hy, :hx]
+    pos = ang / (180.0 / p.bins) - 0.5
+    b0 = np.floor(pos)
+    frac = pos - b0
+    b0 = b0.astype(np.intp) % p.bins
+    b1 = (b0 + 1) % p.bins
+    cy = np.broadcast_to(np.repeat(np.arange(ncy), p.cell)[:, None], (hy, hx))
+    cx = np.broadcast_to(np.repeat(np.arange(ncx), p.cell)[None, :], (hy, hx))
+    hist = np.zeros((ncy, ncx, p.bins), dtype=np.float64)
+    np.add.at(hist, (cy, cx, b0), mag * (1.0 - frac))
+    np.add.at(hist, (cy, cx, b1), mag * frac)
+    win = np.lib.stride_tricks.sliding_window_view(hist, (p.block, p.block), axis=(0, 1))
+    win = win[:: p.block_stride, :: p.block_stride]
+    blocks = win.transpose(0, 1, 3, 4, 2).reshape(win.shape[0], win.shape[1], -1).astype(np.float64)
+    eps = 1e-9
+    blocks = blocks / (np.sqrt((blocks**2).sum(axis=2, keepdims=True)) + eps)
+    blocks = np.minimum(blocks, p.clip)
+    blocks = blocks / (np.sqrt((blocks**2).sum(axis=2, keepdims=True)) + eps)
+    return blocks.reshape(-1)
+
+
 class TestHog:
+    @pytest.mark.parametrize(
+        "params", [HogParams(), HogParams(block_stride=2), HogParams(cell=5, block=3, bins=7, block_stride=2)]
+    )
+    @pytest.mark.parametrize("shape", [(20, 56), (23, 29), (37, 18), (64, 64)])
+    def test_equals_add_at_reference(self, rng, params, shape):
+        # sides that are not multiples of the cell leave a margin the histogram skips
+        patch = gray(rng.uniform(0, 1, shape))
+        assert np.array_equal(hog(patch, params), _reference_hog(patch, params))
+
+    def test_equals_add_at_reference_on_segment_patches(self, trained_segface):
+        # flat areas and straight edges put votes exactly on bin boundaries
+        model, images, labeled = trained_segface
+        for lp in labeled[:10]:
+            for kind, det in lp.proposal.segments.items():
+                patch = extract_patch(images[lp.proposal.source_image], det.box, *LAYOUT.canonical[kind])
+                assert np.array_equal(hog(patch), _reference_hog(patch))
+
+    def test_length_needs_a_block_per_side(self):
+        # 4x4 pixels hold no 8-pixel cell, let alone a 2x2-cell block
+        with pytest.raises(PatchTooSmallError):
+            hog_length(4, 4, HogParams())
+        with pytest.raises(PatchTooSmallError):
+            hog_length(20, 56, HogParams(cell=12))
+        assert hog_length(16, 16, HogParams()) == 36
+
+
     def test_descriptor_length_64(self, rng):
         v = hog(gray(rng.uniform(0, 1, (64, 64))))
         assert len(v) == 7 * 7 * 4 * 9 == 1764
@@ -134,6 +194,98 @@ def trained_segface():
     images, labeled = synthetic_training_setup(rng)
     model = train_segface(labeled, images, LAYOUT, HogParams(), 1e-4, 12, seed=5)
     return model, images, labeled
+
+
+def _reference_train_segface(labeled, images, layout, hog_params, lam, epochs, seed):
+    """`train_segface` as a per-proposal loop: a HoG cache keyed on (image,
+    kind, box) serves both stages, and stage 2 scores every proposal's
+    segments one by one."""
+    cache = {}
+
+    def segment_hog(det, image_id):
+        key = (image_id, int(det.kind), det.box.astuple())
+        if key not in cache:
+            h, w = layout.canonical[det.kind]
+            cache[key] = _reference_hog(extract_patch(images[image_id], det.box, h, w), hog_params)
+        return cache[key]
+
+    priors = build_priors(labeled)
+    per_segment = {}
+    for kind in ALL_KINDS:
+        rows, ys = [], []
+        for lp in labeled:
+            det = lp.proposal.segments.get(kind)
+            if det is not None:
+                rows.append(segment_hog(det, lp.proposal.source_image))
+                ys.append(1.0 if lp.is_face else -1.0)
+        ysa = np.array(ys)
+        if len(rows) < 2 or not (np.any(ysa > 0) and np.any(ysa < 0)):
+            per_segment[kind] = LinearModel.zero(hog_length(*layout.canonical[kind], hog_params))
+            continue
+        kind_seed = derive_seed(seed, "segsvm", kind_name(kind))
+        per_segment[kind] = train_linear_svm(np.stack(rows), ysa, lam, epochs, kind_seed)
+    F = np.zeros((len(labeled), FEATURE_LEN))
+    for i, lp in enumerate(labeled):
+        for kind, det in lp.proposal.segments.items():
+            F[i, int(kind)] = per_segment[kind].score(segment_hog(det, lp.proposal.source_image))
+        F[i, NUM_KINDS:] = prior_features(lp.proposal, priors)
+    y = np.array([1.0 if lp.is_face else -1.0 for lp in labeled])
+    master = train_linear_svm(F, y, lam, epochs, derive_seed(seed, "master"))
+    return SegFaceModel(hog_params, per_segment, master, priors, layout)
+
+
+def shared_segment_setup(n_images=4):
+    """synthetic_training_setup plus proposals that repeat its segments: a
+    two-segment subset of every proposal, and one non-face proposal that adds
+    the only Eye segment. Every image holds the same boxes."""
+    images, labeled = synthetic_training_setup(np.random.default_rng(31), n_images)
+    extra = []
+    for lp in labeled:
+        p = lp.proposal
+        subset = dict(list(p.segments.items())[:2])
+        extra.append(LabeledProposal(Proposal(subset, p.box, 2, p.source_image), lp.is_face, lp.overlap))
+    p = labeled[1].proposal
+    eye = SegmentDetection(SegmentKind.EYE, LAYOUT.segment_box(p.box, SegmentKind.EYE), 0.5)
+    extra.append(LabeledProposal(Proposal({**p.segments, SegmentKind.EYE: eye}, p.box, 3, p.source_image), False, 0.1))
+    return images, labeled + extra
+
+
+def segment_keys(labeled):
+    """(image, kind, box) of every segment occurrence, repeats included."""
+    return [(lp.proposal.source_image, kind, d.box) for lp in labeled for kind, d in lp.proposal.segments.items()]
+
+
+class TestRowTraining:
+    @pytest.mark.parametrize("hog_params, seed", [(HogParams(), 5), (HogParams(cell=6, block_stride=2), 6)])
+    def test_same_model_bytes_as_reference(self, tmp_path, hog_params, seed):
+        images, labeled = shared_segment_setup()
+        keys = segment_keys(labeled)
+        # segments repeat across proposals, and the same boxes across images
+        assert len(set(keys)) < len(keys)
+        assert len({(kind, box) for _, kind, box in keys}) < len(set(keys))
+        # Nose is in face proposals only and Eye in one proposal: both fall back
+        assert {lp.is_face for lp in labeled if SegmentKind.NOSE in lp.proposal.segments} == {True}
+        assert sum(SegmentKind.EYE in lp.proposal.segments for lp in labeled) == 1
+        got = train_segface(labeled, images, LAYOUT, hog_params, 1e-4, 4, seed)
+        want = _reference_train_segface(labeled, images, LAYOUT, hog_params, 1e-4, 4, seed)
+        assert np.all(got.per_segment[SegmentKind.NOSE].weights == 0.0)
+        assert np.any(got.per_segment[SegmentKind.L12].weights != 0.0)
+        save_segface(got, tmp_path / "got.txt")
+        save_segface(want, tmp_path / "want.txt")
+        assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+
+    def test_training_extracts_each_segment_once(self, monkeypatch):
+        images, labeled = shared_segment_setup()
+        calls = []
+        extract = segface.extract_patch
+
+        def counted(image, box, h, w):
+            calls.append((id(image), box, h, w))
+            return extract(image, box, h, w)
+
+        monkeypatch.setattr(segface, "extract_patch", counted)
+        train_segface(labeled, images, LAYOUT, HogParams(), 1e-4, 2, seed=4)
+        assert len(set(calls)) == len(calls) <= len(set(segment_keys(labeled)))
 
 
 class TestFeatureVector:
@@ -260,6 +412,10 @@ class TestDetect:
         assert caches[0] is not caches[1]
         assert seen[0][1] == 0 and seen[len(group)][1] == 0
         assert len(caches[0]) > 0  # the first call did fill its cache
+        # with one margin per segment of the image
+        segments = {(p.source_image, int(k), d.box.astuple()) for p in group for k, d in p.segments.items()}
+        assert set(caches[0]) == segments
+        assert all(isinstance(margin, float) for margin in caches[0].values())
 
 
 def test_model_file_round_trip(tmp_path, trained_segface):

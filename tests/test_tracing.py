@@ -7,12 +7,13 @@ from pathlib import Path
 
 import numpy as np
 
-from segdet import weakdet
+from segdet import deepsegface as dsf, segface, weakdet
 from segdet.config import parse_config
 from segdet.imaging import BoxI
-from segdet.segments import SegmentKind
+from segdet.priors import build_priors
+from segdet.segments import ALL_KINDS, SegmentKind
 
-from conftest import gray
+from conftest import gray, mk_labeled
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -81,3 +82,36 @@ def test_scan_counts_match_the_scan(monkeypatch):
         windows += len(weakdet.detect_segments(args[0], everything, [s], args[3], 1.0))
     assert counts["weakdet.windows"] == windows > 0
     assert counts["weakdet.detections"] == len(out) > 0
+
+
+def test_benchmark_frame_chain_runs_both_models(monkeypatch, tmp_path):
+    """A run's `detect_frame` calls the scan, the proposal steps and both
+    classifiers with the call shapes the benchmark uses, on tiny hand-made
+    models: three detectors whose half-face windows imply the same face boxes."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    workload = importlib.import_module("workload")
+    run = workload.Run(tmp_path, "train", 1)
+    rng = np.random.default_rng(2)
+
+    def detector(kind, w, h):
+        stump = weakdet.Stump(weakdet.HaarFeature(weakdet.HAAR_TWO_H, BoxI(0, 0, w, h)), 0.0, 1, 0.5)
+        return weakdet.BoostedDetector(kind, w, h, [stump], 0.5)
+
+    def linear(dim):
+        return segface.LinearModel(rng.normal(size=dim), float(rng.normal()))
+
+    kinds = (SegmentKind.L12, SegmentKind.R12, SegmentKind.U12)
+    priors = build_priors([mk_labeled(kinds, True), mk_labeled(kinds[1:], False), mk_labeled(kinds[:2], True)])
+    hp, layout = run.cfg.hog, run.layout
+    per_segment = {k: linear(segface.hog_length(*layout.canonical[k], hp)) for k in ALL_KINDS}
+    sf = segface.SegFaceModel(hp, per_segment, linear(segface.FEATURE_LEN), priors, layout)
+    net = dsf.build_network(dsf.network_config("toy", layout, "float32"), seed=3)
+    net.priors = priors
+    models = workload.Models([detector(kinds[0], 8, 16), detector(kinds[1], 8, 16), detector(kinds[2], 16, 8)], sf, net)
+    # 48x36 keeps the scan's quadratic NMS small
+    frame = workload.Frame("f.pgm", gray(rng.uniform(0, 1, (36, 48))), None)
+    result = run.detect_frame(models, frame)
+    boxes = {workload._box(p.box) for p in result.proposals}
+    assert boxes and all(pick is not None and pick[0] in boxes for pick in result.picks.values())
+    box, score = segface.detect(sf, frame.image, result.proposals)
+    assert result.picks["segface"] == (workload._box(box), score)

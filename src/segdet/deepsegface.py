@@ -1,6 +1,7 @@
 """DeepSegFace: one convolutional column per segment kind, 1x1 dimension
-reduction, concatenation, a fully connected + softmax head, and prior-based
-re-ranking of the face probability.
+reduction, concatenation, a fully connected head that ends at two logits
+(trained by softmax cross-entropy), and prior-based re-ranking of the face
+probability, the logistic of the logit margin.
 
 Training and inference share the row rule of `proposals.segment_rows`, which
 SegFace uses too. The column inputs of a proposal list form one table per
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigShapeError, DegenerateTrainingSetError, ParseError
 from .imaging import GrayImageF, extract_patch
-from .neuralnet import FC, Conv2D, MaxPool2, ReLU, Softmax, backward, forward, sgd_step, xent
+from .neuralnet import FC, Conv2D, MaxPool2, ReLU, backward, forward, sgd_step, xent
 from .priors import PriorTable, build_priors, priors_from_entries, priors_to_entries, rerank_multiplier
 from .proposals import LabeledProposal, Proposal, segment_rows
 from .segments import ALL_KINDS, SegmentKind, SegmentLayout, kind_name
@@ -137,12 +138,11 @@ def build_network(config: NetworkConfig, seed: int | None = 0) -> DeepSegFaceMod
         FC(config.concat_size, config.fc_units, rng=rng, dtype=dtype),
         ReLU(),
         FC(config.fc_units, config.classes, rng=rng, dtype=dtype),
-        Softmax(),
     ]
     return DeepSegFaceModel(config, columns, head)
 
 
-FACE_CLASS = 0  # softmax output index for "face"
+FACE_CLASS = 0  # logit index for "face"; the other class is 1 - FACE_CLASS
 
 
 def _segment_rows(
@@ -177,7 +177,7 @@ class _BatchState:
 def _forward_batch(
     model: DeepSegFaceModel, rows: dict, pick: np.ndarray | None = None
 ) -> tuple[np.ndarray, _BatchState]:
-    """Probabilities (N, classes) for the proposals `pick` of a row table
+    """Logits (N, classes) for the proposals `pick` of a row table
     (all of them by default). Each column runs once on the batch's distinct
     rows, and every proposal reads its output row."""
     cfg = model.config
@@ -195,10 +195,10 @@ def _forward_batch(
     return state.head_acts[-1], state
 
 
-def _backward_batch(model: DeepSegFaceModel, state: _BatchState, grad_probs: np.ndarray) -> list[np.ndarray]:
+def _backward_batch(model: DeepSegFaceModel, state: _BatchState, grad_logits: np.ndarray) -> list[np.ndarray]:
     """Parameter gradients aligned with `model.params()`. A column row's
     gradient is the sum over the proposals that read it."""
-    head_grads, grad_concat = backward(model.head, state.head_acts, grad_probs)
+    head_grads, grad_concat = backward(model.head, state.head_acts, grad_logits)
     grads: list[np.ndarray] = []
     offset = 0
     for kind in ALL_KINDS:
@@ -214,9 +214,12 @@ def _backward_batch(model: DeepSegFaceModel, state: _BatchState, grad_probs: np.
 
 
 def score_proposals(model: DeepSegFaceModel, proposals: list[Proposal], images: dict[str, GrayImageF]) -> np.ndarray:
-    """Face probabilities for many proposals, in one batch."""
-    probs, _ = _forward_batch(model, _segment_rows(model, proposals, images))
-    return probs[:, FACE_CLASS].astype(np.float64)
+    """Face probabilities for many proposals, in one batch: the logistic of the
+    float64 logit margin, which rounds to 1 only past a margin of about 37."""
+    logits, _ = _forward_batch(model, _segment_rows(model, proposals, images))
+    margin = logits[:, FACE_CLASS].astype(np.float64) - logits[:, 1 - FACE_CLASS]
+    with np.errstate(under="ignore"):  # a margin below about -745 gives 0
+        return np.exp(-np.logaddexp(0.0, -margin))
 
 
 @dataclass(frozen=True)
@@ -288,10 +291,10 @@ def train(
                     rng.choice(np.array(nonfaces), size=params.batch - n_face, replace=True),
                 ]
             )
-            probs, state = _forward_batch(model, rows, pick)
-            loss, gprobs = xent(probs, labels[pick])
+            logits, state = _forward_batch(model, rows, pick)
+            loss, glogits = xent(logits, labels[pick])
             epoch_loss += loss
-            grads = _backward_batch(model, state, gprobs)
+            grads = _backward_batch(model, state, glogits)
             sgd_step(trainable, grads, velocity, params.lr, params.momentum, params.weight_decay)
         trace.append(epoch_loss / steps)
     return trace

@@ -2,9 +2,9 @@
 
 Batch-first numpy layers (NCHW): stride-1 convolution with valid/same
 padding, ReLU, 2x2 max pooling, flatten, fully connected, softmax; plus
-cross-entropy, SGD with momentum and weight decay. Forward and backward are
-pure given the parameters; there is no autodiff graph, every backward rule
-is written out so it stays hand-verifiable against finite differences.
+softmax cross-entropy on logits and SGD with momentum and weight decay. There
+is no autodiff graph: forward and backward are pure given the parameters, and
+every backward rule is written out to be checked against finite differences.
 """
 
 from __future__ import annotations
@@ -217,16 +217,15 @@ def backward(layers, acts, grad_out):
     return param_grads, g
 
 
-def xent(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over a batch of rows, and its gradient w.r.t. probs.
-
-    Each row's loss is -ln(probs[i, labels[i]]), the probability clamped at 1e-12.
-    """
-    b = len(probs)
-    p = np.maximum(probs[np.arange(b), labels], 1e-12)
-    grad = np.zeros_like(probs)
-    grad[np.arange(b), labels] = -1.0 / p / b
-    return float((-np.log(p)).mean()), grad
+def xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy over a batch of b logit rows, logsumexp(z) -
+    z[label] per row, and its gradient w.r.t. the logits, (softmax(z) - onehot) / b."""
+    rows = np.arange(len(logits))
+    z = logits - logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=1))
+    grad = np.exp(z - lse[:, None])
+    grad[rows, labels] -= 1.0
+    return float((lse - z[rows, labels]).mean()), grad / len(logits)
 
 
 def sgd_step(params, grads, velocity, lr: float, momentum: float = 0.0, weight_decay: float = 0.0):

@@ -8,13 +8,14 @@ containing each individual segment. A proposal's prior-feature vector has
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTrainingSetError
+from .errors import DegenerateTrainingSetError, ParseError
 from .proposals import LabeledProposal, Proposal
-from .segments import ALL_KINDS, NUM_KINDS
+from .segments import ALL_KINDS, MASK_ALL, NUM_KINDS
 from . import store
 
 
@@ -94,20 +95,33 @@ def priors_to_entries(table: PriorTable) -> list[tuple[str, str]]:
 
 
 def priors_from_entries(entries: dict[str, str], where: str = "[priors]") -> PriorTable:
+    """Read a [priors] section: positive counts, segment masks in 0..MASK_ALL
+    and fractions in [0, 1], so that every re-rank multiplier is in [0, 1]."""
+
+    def within(key: str, values, lo, hi):
+        for v in values:
+            if not lo <= v <= hi:
+                raise ParseError(f"{where} {key}: {v!r} is outside [{lo}, {hi}]")
+        return values
+
     def combos(key: str) -> dict[int, float]:
         pairs = (tok.split(":") for tok in store.entry_text(entries, key, where).split())
-        return dict(store.fields(pair, (int, float), f"{where} {key}") for pair in pairs)
+        combo = dict(store.fields(pair, (int, float), f"{where} {key}") for pair in pairs)
+        within(key, combo.values(), 0.0, 1.0)
+        return within(key, combo, 0, MASK_ALL)
 
     def fractions(key: str) -> np.ndarray:
-        return np.array(store.entry(entries, key, (float,) * NUM_KINDS, where))
+        return np.array(within(key, store.entry(entries, key, (float,) * NUM_KINDS, where), 0.0, 1.0))
 
-    (n_face,) = store.entry(entries, "n_face", (int,), where)
-    (n_nonface,) = store.entry(entries, "n_nonface", (int,), where)
+    def count(key: str) -> int:
+        (n,) = within(key, store.entry(entries, key, (int,), where), 1, math.inf)
+        return n
+
     return PriorTable(
         combos("combo_face"),
         combos("combo_nonface"),
         fractions("seg_face"),
         fractions("seg_nonface"),
-        n_face,
-        n_nonface,
+        count("n_face"),
+        count("n_nonface"),
     )

@@ -129,9 +129,6 @@ class SegmentLayout:
             if h < 1 or w < 1:
                 raise ValueError(f"canonical dims for {kind_name(kind)} must be positive")
 
-    def kinds(self) -> tuple[SegmentKind, ...]:
-        return tuple(k for k in ALL_KINDS if k in self.regions)
-
     def segment_box(self, face: BoxI, kind: SegmentKind) -> BoxI:
         """Forward mapping: the region of kind inside the given face box."""
         r = self.regions[kind]

@@ -1,13 +1,15 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from segdet import deepsegface as dsf
+from segdet import store
 from segdet.config import RunConfig
 from segdet.errors import ConfigShapeError, DegenerateTrainingSetError
 from segdet.imaging import BoxI
-from segdet.neuralnet import xent
+from segdet.neuralnet import Softmax, xent
 from segdet.priors import build_priors, rerank_multiplier
 from segdet.proposals import LabeledProposal, Proposal
 from segdet.segments import ALL_KINDS, SegmentDetection, SegmentKind, default_layout, kind_name
@@ -96,22 +98,52 @@ def trained_toy():
 
 
 def forward(model, batch, images):
-    """(probabilities, batch state) of a proposal list in one batch."""
+    """(logits, batch state) of a proposal list in one batch."""
     return dsf._forward_batch(model, dsf._segment_rows(model, batch, images))
 
 
 def face_prob(model, proposal, images):
     """p_face of one proposal scored alone."""
-    probs, _ = forward(model, [proposal], images)
-    return probs[0, dsf.FACE_CLASS]
+    return dsf.score_proposals(model, [proposal], images)[0]
+
+
+def logistic_margin(logits):
+    """p_face from a head's logits, straight from the definition."""
+    margin = logits[:, dsf.FACE_CLASS].astype(np.float64) - logits[:, 1 - dsf.FACE_CLASS]
+    return 1.0 / (1.0 + np.exp(-margin))
 
 
 class TestForward:
     def test_probabilities_sum_to_one(self, trained_toy):
+        # the head ends at two logits; p_face is the face class's softmax
+        # probability of them, the logistic of their margin
         model, images, labeled, _ = trained_toy
-        probs, _ = forward(model, [lp.proposal for lp in labeled[:4]], images)
-        assert probs.sum(axis=1) == pytest.approx(1.0, abs=1e-6)
-        assert ((probs >= 0.0) & (probs <= 1.0)).all()
+        batch = [lp.proposal for lp in labeled[:4]]
+        logits, _ = forward(model, batch, images)
+        assert [layer.kind for layer in model.head] == ["fc", "relu", "fc"]
+        assert logits.shape == (4, 2)
+        probs = Softmax().forward(logits)
+        assert probs.sum(axis=1) == pytest.approx(1.0, abs=1e-12)
+        pface = dsf.score_proposals(model, batch, images)
+        assert pface.dtype == np.float64
+        assert ((pface >= 0.0) & (pface <= 1.0)).all()
+        assert np.allclose(pface, probs[:, dsf.FACE_CLASS], rtol=1e-12, atol=0.0)
+        assert np.allclose(pface, logistic_margin(logits), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_scores_do_not_saturate(self, dtype):
+        images, batch = shared_segment_batch()
+        model = dsf.build_network(dsf.network_config("toy", LAYOUT, dtype), seed=8)
+        last = model.head[-1]
+        last.weight[...] = 0.0
+        last.bias[dsf.FACE_CLASS], last.bias[1 - dsf.FACE_CLASS] = 20.0, 0.0
+        pface = dsf.score_proposals(model, batch[:3], images)
+        assert np.allclose(pface, 1.0 / (1.0 + math.exp(-20.0)), rtol=1e-15, atol=0.0)
+        assert (pface < 1.0).all()
+        last.bias[dsf.FACE_CLASS] = -800.0
+        with np.errstate(all="raise"):
+            pface = dsf.score_proposals(model, batch[:3], images)
+        assert np.isfinite(pface).all() and (pface >= 0.0).all()
 
     def test_identical_inputs_identical_probabilities(self, trained_toy):
         model, images, labeled, _ = trained_toy
@@ -183,7 +215,7 @@ class TestSharedRows:
         model = dsf.build_network(dsf.network_config("toy", LAYOUT, dtype), seed=8)
         alone = np.stack([forward(model, [p], images)[1].head_acts[0][0] for p in batch])
         seen = count_column_rows(monkeypatch, model)
-        probs, state = forward(model, batch, images)
+        logits, state = forward(model, batch, images)
         # the comparison covers shared rows: each column ran on fewer rows
         # than the batch holds segments of its kind
         for kind in SHARED_KINDS:
@@ -194,9 +226,9 @@ class TestSharedRows:
         assert np.array_equal(concat, alone)
         # the same boxes in the two images hold different pixels
         assert not np.array_equal(concat[0], concat[len(batch) // 2])
-        # and its probabilities are the head's on those inputs
-        assert np.array_equal(probs, dsf.forward(model.head, alone)[-1])
-        assert np.array_equal(dsf.score_proposals(model, batch, images), probs[:, dsf.FACE_CLASS].astype(np.float64))
+        # and its logits are the head's on those inputs, its p_face their margin's logistic
+        assert np.array_equal(logits, dsf.forward(model.head, alone)[-1])
+        assert np.allclose(dsf.score_proposals(model, batch, images), logistic_margin(logits), rtol=1e-12, atol=0.0)
 
     def test_column_row_counts(self, monkeypatch):
         images, batch = shared_segment_batch()
@@ -258,8 +290,8 @@ class TestTraining:
         model = dsf.build_network(dsf.network_config("toy", LAYOUT, "float64"), seed=5)
 
         def grads(props, y):
-            probs, state = forward(model, props, images)
-            return dsf._backward_batch(model, state, xent(probs, y)[1])
+            logits, state = forward(model, props, images)
+            return dsf._backward_batch(model, state, xent(logits, y)[1])
 
         batched = grads(batch, labels)
         singles = [grads([p], labels[i : i + 1]) for i, p in enumerate(batch)]
@@ -322,6 +354,21 @@ def test_model_file_round_trip(tmp_path, trained_toy):
     assert np.array_equal(dsf.score_proposals(back, batch, images), dsf.score_proposals(model, batch, images))
     dsf.save_deepsegface(back, tmp_path / "again.txt")
     assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+
+
+def test_model_file_head_keys_and_softmax_head_files(tmp_path, trained_toy):
+    # the head's keys are unchanged: files written when the head still ended in
+    # a parameter-free Softmax layer hold the same bytes, and load and score
+    model, images, labeled, _ = trained_toy
+    dsf.save_deepsegface(model, tmp_path / "dsf.txt")
+    assert sorted(dict(store.read_sections(tmp_path / "dsf.txt", dsf.DSF_MAGIC))["head"]) == ["p0.0", "p0.1", "p2.0", "p2.1"]
+    softmax_head = dsf.DeepSegFaceModel(model.config, model.columns, model.head + [Softmax()], model.priors)
+    dsf.save_deepsegface(softmax_head, tmp_path / "softmax.txt")
+    assert (tmp_path / "softmax.txt").read_bytes() == (tmp_path / "dsf.txt").read_bytes()
+    back = dsf.load_deepsegface(tmp_path / "softmax.txt")
+    batch = [lp.proposal for lp in labeled]
+    probs, _ = forward(softmax_head, batch, images)
+    assert np.allclose(dsf.score_proposals(back, batch, images), probs[:, dsf.FACE_CLASS], rtol=1e-12, atol=0.0)
 
 
 def test_overridden_layout_round_trip(tmp_path):

@@ -194,19 +194,25 @@ class TestSGD:
 
 
 class TestXent:
-    def test_certain_correct(self):
-        assert xent(np.array([[1.0, 0.0]]), [0])[0] == 0.0
-
     def test_symmetric(self):
-        assert xent(np.array([[0.5, 0.5]]), [1])[0] == pytest.approx(math.log(2), abs=1e-9)
+        assert xent(np.zeros((1, 2)), [1])[0] == pytest.approx(math.log(2), abs=1e-12)
 
-    def test_clamp(self):
-        eps = 1e-12
-        loss, grad = xent(np.array([[eps / 10, 1.0 - eps / 10]]), [0])
-        assert loss == pytest.approx(-math.log(eps), rel=1e-6)  # ~27.6
-        assert grad[0, 0] == pytest.approx(-1.0 / eps, rel=1e-6)
+    def test_confident_wrong_logits_are_not_capped(self):
+        # a probability clamp at 1e-12 would cap this loss near 27.6
+        loss, grad = xent(np.array([[1000.0, 0.0]]), [1])
+        assert loss == 1000.0
+        assert np.array_equal(grad, [[1.0, -1.0]])
+
+    def test_certain_correct(self):
+        loss, grad = xent(np.array([[0.0, -1000.0]]), [0])
+        assert loss == 0.0
+        assert np.array_equal(grad, np.zeros((1, 2)))
 
     def test_batch_mean_and_gradient(self):
-        loss, grad = xent(np.array([[0.5, 0.5], [0.25, 0.75]]), np.array([1, 0]))
-        assert loss == pytest.approx((math.log(2) + math.log(4)) / 2, abs=1e-12)
-        assert np.array_equal(grad, [[0.0, -1.0], [-2.0, 0.0]])
+        logits = np.array([[0.5, -1.25], [2.0, 3.5]])
+        labels = np.array([1, 0])
+        loss, grad = xent(logits, labels)
+        p = Softmax().forward(logits)
+        assert loss == pytest.approx(-np.log(p[[0, 1], labels]).mean(), abs=1e-12)
+        assert np.allclose(grad, (p - np.eye(2)[labels]) / 2, rtol=0.0, atol=1e-15)
+        assert np.allclose(grad.sum(axis=1), 0.0, rtol=0.0, atol=1e-15)

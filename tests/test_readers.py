@@ -180,6 +180,33 @@ def test_segface_layout_must_hold_a_hog_block(tmp_path, old, new, kind):
         segface.load_segface(tmp_path / "m.txt")
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("n_face", "-3"),
+        ("n_nonface", "0"),
+        ("combo_face", "7:5.0 99999:-2.0"),
+        ("combo_face", "7:0.5 99999:0.5"),
+        ("combo_face", "-1:0.5 15:0.5"),
+        ("combo_nonface", "56:-2.0"),
+        ("seg_face", "3.0 1.0 1.0 0.5 0.0 0.0 0.0 0.0 0.0"),
+        ("seg_nonface", "-1.0 0.0 0.0 1.0 1.0 1.0 0.0 0.0 0.0"),
+    ],
+)
+@pytest.mark.parametrize("model", ["segface", "deepsegface"])
+def test_priors_values_must_be_in_range(tmp_path, model, key, value):
+    # a count below one, a mask outside 0..511 or a fraction outside [0, 1]
+    # would let the re-rank multiplier leave [0, 1]
+    write, read = MODELS[model]
+    write(tmp_path / "m.txt")
+    lines = (tmp_path / "m.txt").read_text().splitlines()
+    (at,) = [i for i, line in enumerate(lines) if line.startswith(f"{key} = ")]
+    lines[at] = f"{key} = {value}"
+    (tmp_path / "m.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=rf"m\.txt: \[priors\] {key}: "):
+        read(tmp_path / "m.txt")
+
+
 def test_deepsegface_layout_must_fit_its_preset(tmp_path):
     # the full preset's [config] over the toy layout: its five pools floor Nose to nothing
     _deepsegface_model(tmp_path / "m.txt")

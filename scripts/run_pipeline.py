@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """End-to-end desk-scale experiment: synthesize data, train the weak segment
 detectors and both classifiers, detect on the test split, and print the
-evaluation summary for each model.
+evaluation summary for each model, then one `sha256  relative/path` line
+for every file under models/ and reports/, sorted by path, so that two runs
+compare with `diff`.
 
     python3 scripts/run_pipeline.py --workdir /tmp/segdet-run [--seed 2026]
                                     [--train 400] [--test 200] [--skip-deep]
 """
 
 import argparse
+import hashlib
 import sys
 import time
 from pathlib import Path
@@ -62,6 +65,9 @@ def main() -> int:
         summary = workdir / f"reports/eval_{m}_test/summary.csv"
         print(f"\n{m}:")
         print(summary.read_text().strip())
+    print("\nsha256 of models/ and reports/:")
+    for path in sorted(p for d in ("models", "reports") for p in (workdir / d).rglob("*") if p.is_file()):
+        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(workdir).as_posix()}")
     return 0
 
 

@@ -152,15 +152,19 @@ def save_faces(rows: list[tuple[str, tuple[BoxI, float] | None]], path) -> None:
 
 
 def load_faces(path) -> dict[str, tuple[BoxI, float] | None]:
-    """Faces file rows by image id; empty box and score fields mean no detection."""
+    """Faces file rows by image id; empty box and score fields mean no
+    detection, and an id listed twice is a ParseError."""
     out: dict[str, tuple[BoxI, float] | None] = {}
     for where, parts in store.records(path):
         if len(parts) == 6 and not any(parts[1:]):
-            out[parts[0]] = None
-            continue
-        image_id, x, y, w, h, score = store.fields(parts, (str, int, int, int, int, float), where)
-        with store.checked(where):
-            out[image_id] = (BoxI(x, y, w, h), score)
+            image_id, det = parts[0], None
+        else:
+            image_id, x, y, w, h, score = store.fields(parts, (str, int, int, int, int, float), where)
+            with store.checked(where):
+                det = (BoxI(x, y, w, h), score)
+        if image_id in out:
+            raise ParseError(f"{where}: repeated image {image_id!r}")
+        out[image_id] = det
     return out
 
 

@@ -93,34 +93,41 @@ def write_sections(path, magic: str, sections: list[tuple[str, list[tuple[str, s
     write_lines(path, lines)
 
 
-def read_sections(path, magic: str) -> list[tuple[str, dict[str, str]]]:
+def read_sections(path, magic: str) -> dict[str, dict[str, str]]:
+    """Each section's entries by section name, in file order. A repeated
+    section or key is a ParseError: no copy silently overrides another."""
     raw = _text_lines(path)
     if not raw or raw[0].strip() != magic:
         found = raw[0].strip() if raw else "<empty file>"
         raise ModelVersionMismatchError(
             f"{path}: expected magic '{magic}', found '{found}'"
         )
-    sections: list[tuple[str, dict[str, str]]] = []
-    current: dict[str, str] | None = None
+    sections: dict[str, dict[str, str]] = {}
+    name = current = None
     for lineno, line in enumerate(raw[1:], start=2):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("[") and line.endswith("]"):
-            current = {}
-            sections.append((line[1:-1], current))
+            name = line[1:-1]
+            if name in sections:
+                raise ParseError(f"{path}:{lineno}: repeated section [{name}]")
+            current = sections[name] = {}
             continue
         if current is None or "=" not in line:
             raise ParseError(f"{path}:{lineno}: expected '[section]' or 'key = value'")
         key, _, text = line.partition("=")
-        current[key.strip()] = text.strip()
+        key = key.strip()
+        if key in current:
+            raise ParseError(f"{path}:{lineno}: repeated key {key!r} in [{name}]")
+        current[key] = text.strip()
     return sections
 
 
 def model_sections(path, magic: str):
     """`section(name)` over a model file: that section's entries and its
     `path: [name]` prefix for errors; a missing section is a ParseError."""
-    sections = dict(read_sections(path, magic))
+    sections = read_sections(path, magic)
 
     def section(name: str) -> tuple[dict[str, str], str]:
         if name not in sections:

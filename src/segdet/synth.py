@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ParseError
 from .imaging import BoxI, Image, save_image
 from . import store
 
@@ -249,12 +250,16 @@ def save_annotations(annotations: list[Annotation], path) -> None:
 
 
 def load_annotations(path) -> list[Annotation]:
-    annotations = []
+    """Annotations in file order; a frame listed twice is a ParseError."""
+    annotations = {}
     for where, parts in store.records(path):
         if len(parts) == 5 and not any(parts[1:]):
-            annotations.append(Annotation(parts[0], None))
-            continue
-        p, x, y, w, h = store.fields(parts, (str, int, int, int, int), where)
-        with store.checked(where):
-            annotations.append(Annotation(p, BoxI(x, y, w, h)))
-    return annotations
+            p, face = parts[0], None
+        else:
+            p, x, y, w, h = store.fields(parts, (str, int, int, int, int), where)
+            with store.checked(where):
+                face = BoxI(x, y, w, h)
+        if p in annotations:
+            raise ParseError(f"{where}: repeated image {p!r}")
+        annotations[p] = Annotation(p, face)
+    return list(annotations.values())

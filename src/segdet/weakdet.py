@@ -9,9 +9,6 @@ built-in detectors.
 
 from __future__ import annotations
 
-import functools
-import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,14 +85,14 @@ class BoostedDetector:
         return sum(s.alpha for s in self.stumps)
 
 
-def _feature_values_on_patches(features: list[HaarFeature], ii_stack: np.ndarray, area: float) -> np.ndarray:
-    """Value of every feature on every patch of a stacked integral array
-    (N, H+1, W+1), as an (N, F) table.
+def _feature_values_on_patches(features: list[HaarFeature], ii_stack: np.ndarray) -> np.ndarray:
+    """Raw window sum of every feature on every patch of a stacked integral
+    array (N, H+1, W+1), as an (N, F) table.
 
     Features with the same rect count share one pass of corner gathers. Each
     value keeps the scan's float order: per rect ((ii[y1,x1] - ii[y0,x1]) -
     ii[y1,x0]) + ii[y0,x0], times the rect's weight, added in rect order to a
-    zero start, then divided by the window area.
+    zero start.
     """
     n, rows, cols = ii_stack.shape
     corners = ii_stack.reshape(n, rows * cols).T.copy()  # one row of N per corner
@@ -112,7 +109,7 @@ def _feature_values_on_patches(features: list[HaarFeature], ii_stack: np.ndarray
             t -= corners[y1 + x0]
             t += corners[y0 + x0]
             v += wgt[r][:, None] * t
-        values[idx] = v / area
+        values[idx] = v
     return np.ascontiguousarray(values.T)
 
 
@@ -190,7 +187,7 @@ def train_boosted(
     y[: len(positives)] = 1.0
 
     # (position, feature) layout: each sorted position's row is contiguous
-    values = _feature_values_on_patches(features, ii_stack, float(win_w * win_h))
+    values = _feature_values_on_patches(features, ii_stack)
     order = np.argsort(values, axis=0, kind="stable")
     v_sorted = np.take_along_axis(values, order, axis=0)
     # a split between equal neighbors cannot be realized by a threshold, and
@@ -257,46 +254,6 @@ def _nms(dets: list[SegmentDetection], iou_max: float) -> list[SegmentDetection]
     return kept
 
 
-_F64, _I64 = struct.Struct("<d"), struct.Struct("<q")
-# bit pattern of +inf: the nonnegative doubles order as their bit patterns do
-_INF_RANK = 0x7FF0_0000_0000_0000
-
-
-def _ranked(k: int) -> float:
-    """The double of rank k in -_INF_RANK..._INF_RANK: ranks order the
-    doubles from -inf through 0.0 (rank 0) to inf as their values do."""
-    (v,) = _F64.unpack(_I64.pack(abs(k)))
-    return -v if k < 0 else v
-
-
-@functools.lru_cache(maxsize=1 << 16)
-def _raw_threshold(threshold: float, area: float, polarity: int) -> float:
-    """Threshold T on a raw window sum v that decides a stump exactly as the
-    divided value does: for area > 0, fl(v / area) < threshold iff v < T at
-    polarity 1, and fl(v / area) > threshold iff v > T at polarity -1.
-
-    Division by a positive area is monotone under round-to-nearest, so the v
-    with fl(v / area) >= t form an up-set of the doubles. T is its least
-    element, found by bisecting the doubles' ranks; no threshold * area
-    product is formed, which could overflow or sit many subnormal steps from
-    T. inf / area is inf, so the set is nonempty unless t is nan, which no v
-    passes either way. Polarity -1 mirrors through fl(-v / area) =
-    -fl(v / area). Memoised on the floats, not on a detector, whose stumps
-    may be replaced.
-    """
-    t = polarity * threshold
-    if math.isnan(t):
-        return t
-    lo, hi = -_INF_RANK - 1, _INF_RANK  # lo stands below -inf and is never divided
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _ranked(mid) / area >= t:
-            hi = mid
-        else:
-            lo = mid
-    return polarity * _ranked(hi)
-
-
 def _scan_scores(det: BoostedDetector, phases: list[list[np.ndarray]], width: int, nx: int, ny: int, stride: int) -> np.ndarray:
     """Raw boosted score of every window on an ny x nx grid with step `stride`.
 
@@ -315,7 +272,6 @@ def _scan_scores(det: BoostedDetector, phases: list[list[np.ndarray]], width: in
         start = y // stride * width + x // stride
         return phases[y % stride][x % stride][start : start + n]
 
-    area = float(det.window_w * det.window_h)
     scores = np.zeros(n, dtype=np.float64)
     value = np.empty_like(scores)
     term = np.empty_like(scores)
@@ -334,7 +290,7 @@ def _scan_scores(det: BoostedDetector, phases: list[list[np.ndarray]], width: in
             if i:
                 value += term
         compare = np.less if st.polarity == 1 else np.greater
-        compare(value, _raw_threshold(st.threshold, area, st.polarity), out=fires)
+        compare(value, st.threshold, out=fires)
         np.add(scores, st.alpha, out=scores, where=fires)
     return scores.reshape(ny, width)[:, :nx]
 
@@ -396,15 +352,13 @@ def detect_segments(
     Float-order contract: every window's raw score is the one
     `_feature_values_on_patches` and stump-order alpha sums give for that
     window's patch. Per rect ((ii[y1,x1] - ii[y0,x1]) - ii[y1,x0]) + ii[y0,x0],
-    times the rect's weight; rects summed in order from 0; divided by the
-    window area; a stump fires iff polarity*value < polarity*threshold; alphas
-    added in stump order. A reordered sum (say over corner coefficients, or a
-    tensordot over stumps) moves values by an ulp, which flips stumps whose
-    threshold sits at a training value and moves scores by whole alphas. The
-    scan keeps to exact identities: it skips the leading 0 + and a weight of
-    1, writes a weight of -1 as a subtraction, tests polarity -1 as value >
-    threshold, and compares the undivided sum with `_raw_threshold`, which
-    gives every double the divided value's decision.
+    times the rect's weight; rects summed in order from 0; a stump fires iff
+    polarity*value < polarity*threshold; alphas added in stump order. A
+    reordered sum (say over corner coefficients, or a tensordot over stumps)
+    moves values by an ulp, which flips stumps whose threshold sits at a
+    training value and moves scores by whole alphas. The scan keeps to exact
+    identities: it skips the leading 0 + and a weight of 1, writes a weight of
+    -1 as a subtraction, and tests polarity -1 as value > threshold.
     """
     if not scales:
         raise ValueError("scale ladder must be nonempty")
@@ -494,7 +448,8 @@ def import_detections(path) -> dict[str, list[SegmentDetection]]:
 
 # --- model file --------------------------------------------------------------
 
-WEAK_MAGIC = "WEAKDET-MODEL v1"
+# v2 stores stump thresholds on raw window sums; v1 divided them by the window area
+WEAK_MAGIC = "WEAKDET-MODEL v2"
 
 
 def save_detectors(detectors: list[BoostedDetector], path) -> None:
@@ -543,7 +498,7 @@ def load_detectors(path) -> list[BoostedDetector]:
     raises ParseError naming the path, section and key.
     """
     detectors = []
-    for name, entries in store.read_sections(path, WEAK_MAGIC):
+    for name, entries in store.read_sections(path, WEAK_MAGIC).items():
         if not name.startswith("detector kind="):
             raise ParseError(f"{path}: unexpected section [{name}]")
         where = f"{path}: [{name}]"

@@ -6,6 +6,8 @@ replaced by arbitrary text, a line replaced by arbitrary bytes, or a
 truncation). The CLI cases check that such input exits 4, not a traceback.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -56,6 +58,21 @@ def test_csv_reader_on_arbitrary_bytes(tmp_path, reader, data):
     path = tmp_path / f"{reader}.csv"
     path.write_bytes(data)
     _reads_or_raises_segdet_error(CSV_READERS[reader], path)
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        ("annotations", "a.pgm,1,2,30,40\nb.pgm,,,,\na.pgm,,,,\n"),
+        ("faces", "# image_id,x,y,w,h,score\na.pgm,1,2,30,40,0.5\na.pgm,,,,,\n"),
+    ],
+)
+def test_csv_reader_rejects_a_repeated_image(tmp_path, reader, text):
+    # a repeated frame would be detected and counted twice, a repeated faces row override the first
+    path = tmp_path / f"{reader}.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=rf"{reader}\.csv:3: repeated image 'a\.pgm'"):
+        CSV_READERS[reader](path)
 
 
 def _weak_model(path):
@@ -147,6 +164,38 @@ def test_model_reader_on_mutated_file(tmp_path, model_lines, model, data):
     path = tmp_path / f"{model}.txt"
     path.write_bytes(data.draw(mutations(model_lines[model])))
     _reads_or_raises_segdet_error(MODELS[model][1], path)
+
+
+@pytest.mark.parametrize(
+    "model, name", [("weak", "detector kind=Eye"), ("segface", "svm kind=Nose"), ("deepsegface", "head")]
+)
+def test_model_reader_rejects_a_repeated_section(tmp_path, model, name):
+    # a copy of the section at the end of the file would silently replace the first
+    write, read = MODELS[model]
+    write(tmp_path / "m.txt")
+    lines = (tmp_path / "m.txt").read_text().splitlines()
+    at = lines.index(f"[{name}]")
+    end = next((i for i in range(at + 1, len(lines)) if lines[i].startswith("[")), len(lines))
+    (tmp_path / "m.txt").write_text("\n".join(lines + lines[at:end]) + "\n")
+    with pytest.raises(ParseError, match=rf"m\.txt:{len(lines) + 1}: repeated section \[{re.escape(name)}\]"):
+        read(tmp_path / "m.txt")
+
+
+@pytest.mark.parametrize(
+    "model, line",
+    [("weak", "accept_threshold = 999.0"), ("segface", "cell = 4"), ("deepsegface", "n_face = 7")],
+)
+def test_model_reader_rejects_a_repeated_key(tmp_path, model, line):
+    # a second entry right after the first would silently override it
+    write, read = MODELS[model]
+    write(tmp_path / "m.txt")
+    lines = (tmp_path / "m.txt").read_text().splitlines()
+    key = line.split(" = ")[0]
+    (at,) = [i for i, old in enumerate(lines) if old.startswith(f"{key} = ")]
+    lines.insert(at + 1, line)
+    (tmp_path / "m.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=rf"m\.txt:{at + 2}: repeated key '{key}' in \["):
+        read(tmp_path / "m.txt")
 
 
 def test_layout_section_checks(tmp_path):

@@ -29,3 +29,18 @@ def test_run_pipeline_help():
     out = run_script("run_pipeline.py", "--help")
     assert out.returncode == 0, out.stderr
     assert "--workdir" in out.stdout
+
+
+def test_run_pipeline_digests_equal_across_workdirs(tmp_path):
+    # the sha256 listing is what a parent/change byte-identity check diffs
+    listings = []
+    for name in ("a", "b"):
+        out = run_script("run_pipeline.py", "--workdir", str(tmp_path / name), "--train", "30", "--test", "15", "--skip-deep")
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        listings.append(lines[lines.index("sha256 of models/ and reports/:") + 1 :])
+    a, b = listings
+    assert a == b
+    paths = [line.split("  ", 1)[1] for line in a]
+    assert "models/weakdet.txt" in paths and paths == sorted(paths)
+    assert all(len(line.split("  ", 1)[0]) == 64 for line in a)

@@ -1,13 +1,16 @@
 import math
-import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from segdet import cli, weakdet
-from segdet.errors import DegenerateDataError, NoUsefulFeatureError, ParseError, UnknownSegmentKindError
+from segdet.errors import (
+    DegenerateDataError,
+    ModelVersionMismatchError,
+    NoUsefulFeatureError,
+    ParseError,
+    UnknownSegmentKindError,
+)
 from segdet.evaluate import iou
 from segdet.imaging import BoxI, integral, resize_bilinear
 from segdet.segments import SegmentDetection, SegmentKind
@@ -21,7 +24,6 @@ from segdet.weakdet import (
     _HAAR,
     _canvases,
     _feature_values_on_patches,
-    _raw_threshold,
     _sample_features,
     detect_segments,
     export_detections,
@@ -36,9 +38,9 @@ from conftest import gray
 WIN = (12, 12)  # (h, w)
 
 
-def _patch_feature_values(feature, ii_stack, area):
-    """One feature's value on every patch of a stacked integral array, one
-    patch-sized gather per corner: the reference for the table that
+def _patch_feature_values(feature, ii_stack):
+    """One feature's raw window sum on every patch of a stacked integral
+    array, one patch-sized gather per corner: the reference for the table that
     `_feature_values_on_patches` builds and for the scan's float order."""
     v = np.zeros(ii_stack.shape[0], dtype=np.float64)
     for wgt, x, y, w, h in feature.rects():
@@ -48,17 +50,16 @@ def _patch_feature_values(feature, ii_stack, area):
             - ii_stack[:, y + h, x]
             + ii_stack[:, y, x]
         )
-    return v / area
+    return v
 
 
 def score_patch(det, patch):
     """Raw boosted score of one window-sized patch."""
     assert patch.data.shape == (det.window_h, det.window_w)
     ii = integral(patch).data[None, :, :]
-    area = float(det.window_w * det.window_h)
     score = 0.0
     for s in det.stumps:
-        v = _patch_feature_values(s.feature, ii, area)[0]
+        v = _patch_feature_values(s.feature, ii)[0]
         if s.polarity * v < s.polarity * s.threshold:
             score += s.alpha
     return score
@@ -138,14 +139,13 @@ def _reference_train_boosted(kind, positives, negatives, rounds, seed=0, pool_si
     features = _sample_features(rng, win_w, win_h, pool_size)
     patches = positives + negatives
     ii_stack = np.stack([integral(p).data for p in patches])
-    area = float(win_w * win_h)
     n = len(patches)
     y = np.zeros(n, dtype=np.float64)
     y[: len(positives)] = 1.0
 
     values = np.empty((len(features), n), dtype=np.float64)
     for fi, feat in enumerate(features):
-        values[fi] = _patch_feature_values(feat, ii_stack, area)
+        values[fi] = _patch_feature_values(feat, ii_stack)
     order = np.argsort(values, axis=1, kind="stable")
     v_sorted = np.take_along_axis(values, order, axis=1)
     y_sorted = np.take_along_axis(np.broadcast_to(y, values.shape), order, axis=1)
@@ -258,7 +258,7 @@ class TestBoosterOracle:
         win_h, win_w = pos[0].data.shape
         features = _sample_features(np.random.Generator(np.random.PCG64(seed)), win_w, win_h, pool_size)
         ii = np.stack([integral(p).data for p in pos + neg])
-        table = [tuple(_patch_feature_values(f, ii, float(win_w * win_h)).tolist()) for f in features]
+        table = [tuple(_patch_feature_values(f, ii).tolist()) for f in features]
         if name == "repeated_values":
             assert any(len(set(row)) < len(row) for row in table)
         if name == "rounds_above_pool":
@@ -287,10 +287,10 @@ class TestBoosterOracle:
         ii = np.stack([integral(gray(rng.uniform(0, 1, (9, 13)))).data for _ in range(17)])
         features = _sample_features(np.random.Generator(np.random.PCG64(4)), 13, 9, 300)
         assert {f.kind for f in features} == {HAAR_TWO_H, HAAR_TWO_V, HAAR_THREE_H}
-        table = _feature_values_on_patches(features, ii, 117.0)
+        table = _feature_values_on_patches(features, ii)
         assert table.shape == (17, len(features))
         for fi, f in enumerate(features):
-            assert table[:, fi].tolist() == _patch_feature_values(f, ii, 117.0).tolist()
+            assert table[:, fi].tolist() == _patch_feature_values(f, ii).tolist()
 
 
 class TestDetectSegments:
@@ -379,10 +379,9 @@ def _window_stack(det, ii, stride):
 
 def _oracle_scores(det, origins, stack):
     """Raw score per window origin: per-patch feature values, alphas in stump order."""
-    area = float(det.window_w * det.window_h)
     raw = np.zeros(len(origins))
     for st in det.stumps:
-        v = _patch_feature_values(st.feature, stack, area)
+        v = _patch_feature_values(st.feature, stack)
         raw += st.alpha * (st.polarity * v < st.polarity * st.threshold)
     return dict(zip(origins, raw.tolist()))
 
@@ -434,10 +433,9 @@ class TestScanExactness:
                     continue
                 # thresholds at exact feature values, so an ulp of drift flips a stump
                 origins, stack = _window_stack(det, ii, stride)
-                area = float(det.window_w * det.window_h)
                 for i, st in enumerate(det.stumps):
                     at = int(rng.integers(0, len(stack)))
-                    thr = float(_patch_feature_values(st.feature, stack[at : at + 1], area)[0])
+                    thr = float(_patch_feature_values(st.feature, stack[at : at + 1])[0])
                     det.stumps[i] = Stump(st.feature, thr, st.polarity, st.alpha)
                 want = _oracle_scores(det, origins, stack)
                 hits = detect_segments(img, [det], [1.0], stride=stride, nms_iou=1.0)
@@ -502,38 +500,6 @@ class TestScanExactness:
         (blocks,) = _canvases(sizes, 4)
         assert [r for r, _ in blocks] == list(range(6))
         assert all(x0 % 4 == 0 for _, x0 in blocks)
-
-
-def _ulps(v, k):
-    """v moved k representable doubles up (k > 0) or down."""
-    for _ in range(abs(k)):
-        v = math.nextafter(v, math.copysign(math.inf, k))
-    return v
-
-
-_HUGE = st.floats(min_value=1e300, max_value=sys.float_info.max)
-
-
-@settings(max_examples=400, deadline=None)
-@given(
-    threshold=st.one_of(st.floats(allow_nan=False, allow_infinity=False), _HUGE, _HUGE.map(lambda v: -v)),
-    area=st.integers(min_value=1, max_value=4096),
-    steps=st.integers(min_value=-64, max_value=64),
-    other=st.floats(allow_nan=False),
-)
-def test_raw_threshold_decides_like_the_divided_value(threshold, area, steps, other):
-    """v < T iff fl(v / area) < threshold, and the mirror at polarity -1, for
-    raw sums next to threshold * area (which may overflow), next to T itself,
-    and anywhere."""
-    area = float(area)
-    below = _raw_threshold(threshold, area, 1)
-    above = _raw_threshold(threshold, area, -1)
-    product = threshold * area
-    if math.isinf(product):
-        product = math.copysign(sys.float_info.max, product)
-    for v in (_ulps(product, steps), _ulps(below, steps), _ulps(above, steps), other):
-        assert (v < below) == (v / area < threshold)
-        assert (v > above) == (v / area > threshold)
 
 
 def _write_weak_model(tmp_path):
@@ -606,6 +572,20 @@ def test_unknown_segment_kind_section_exits_4(tmp_path):
     with pytest.raises(UnknownSegmentKindError, match="Ear"):
         load_detectors(model)
     assert cli.main(["detect-segments", "--config", str(cfg), "--split", "train"]) == 4
+
+
+def test_v1_model_is_rejected_exits_4(tmp_path, capsys):
+    # v1 stored thresholds divided by the window area; the scan compares raw
+    # window sums, so a v1 file must not load
+    cfg, model = _write_weak_model(tmp_path)
+    text = model.read_text()
+    assert text.startswith("WEAKDET-MODEL v2\n")
+    model.write_text(text.replace("WEAKDET-MODEL v2", "WEAKDET-MODEL v1", 1))
+    with pytest.raises(ModelVersionMismatchError, match="expected magic 'WEAKDET-MODEL v2', found 'WEAKDET-MODEL v1'"):
+        load_detectors(model)
+    assert cli.main(["detect-segments", "--config", str(cfg), "--split", "train"]) == 4
+    err = capsys.readouterr().err
+    assert str(model) in err and "WEAKDET-MODEL v1" in err and "Traceback" not in err
 
 
 def test_valid_hand_written_model_loads(tmp_path):

@@ -141,31 +141,14 @@ def proposals_for_image(dets, layout, cfg: RunConfig, image_id: str):
 
 
 def save_faces(rows: list[tuple[str, tuple[BoxI, float] | None]], path) -> None:
-    lines = ["# image_id,x,y,w,h,score"]
-    for image_id, det in rows:
-        if det is None:
-            lines.append(f"{image_id},,,,,")
-        else:
-            box, score = det
-            lines.append(f"{image_id},{box.x},{box.y},{box.w},{box.h},{score!r}")
-    store.write_lines(path, lines)
+    csv_rows = [(i, *det[0].astuple(), det[1]) if det else (i, "", "", "", "", "") for i, det in rows]
+    store.write_csv(path, csv_rows, "# image_id,x,y,w,h,score")
 
 
 def load_faces(path) -> dict[str, tuple[BoxI, float] | None]:
     """Faces file rows by image id; empty box and score fields mean no
     detection, and an id listed twice is a ParseError."""
-    out: dict[str, tuple[BoxI, float] | None] = {}
-    for where, parts in store.records(path):
-        if len(parts) == 6 and not any(parts[1:]):
-            image_id, det = parts[0], None
-        else:
-            image_id, x, y, w, h, score = store.fields(parts, (str, int, int, int, int, float), where)
-            with store.checked(where):
-                det = (BoxI(x, y, w, h), score)
-        if image_id in out:
-            raise ParseError(f"{where}: repeated image {image_id!r}")
-        out[image_id] = det
-    return out
+    return store.image_rows(path, (float,))
 
 
 # --- commands ------------------------------------------------------------------
@@ -272,8 +255,7 @@ def cmd_train_deepsegface(cfg: RunConfig, args, base: Path) -> int:
     models.mkdir(parents=True, exist_ok=True)
     dsf.save_deepsegface(model, models / "deepsegface.txt")
     reports.mkdir(parents=True, exist_ok=True)
-    losses = [f"{i},{loss!r}" for i, loss in enumerate(trace)]
-    store.write_lines(reports / "deepsegface_loss.csv", ["epoch,mean_loss", *losses])
+    store.write_csv(reports / "deepsegface_loss.csv", enumerate(trace), "epoch,mean_loss")
     print(
         f"deepsegface model -> {models / 'deepsegface.txt'} "
         f"(loss {trace[0]:.4f} -> {trace[-1]:.4f})"
@@ -323,6 +305,10 @@ def cmd_eval(cfg: RunConfig, args, base: Path) -> int:
     missing = [a.path for a in annotations if a.path not in faces]
     if missing:
         raise ParseError(f"{faces_path}: no row for image {missing[0]} ({len(missing)} missing)")
+    split_ids = {a.path for a in annotations}
+    extra = [i for i in faces if i not in split_ids]
+    if extra:
+        raise ParseError(f"{faces_path}: row for image {extra[0]} not in the split ({len(extra)} extra)")
     by_image = _load_labeled_proposals(reports, args.split)
     results = [evaluate.ImageResult(a.path, a.face, faces[a.path]) for a in annotations]
     points = evaluate.roc_curve(results)
@@ -338,19 +324,18 @@ def cmd_eval(cfg: RunConfig, args, base: Path) -> int:
     n_prop = sum(len(v) for v in by_image.values())
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    evaluate.write_curve_csv(points, out_dir / "curve.csv")
-    evaluate.write_summary_csv(
-        [
-            (f"tar_at_far_{cfg.eval.far_target}", tar),
-            (f"recall_at_prec_{cfg.eval.prec_target}", recall),
-            (f"coverage_{evaluate.IOU_MIN}", coverage),
-            ("roc_auc", auc),
-            ("proposals_per_image", n_prop / max(len(annotations), 1)),
-        ],
-        out_dir / "summary.csv",
-    )
-    rows = [f"{ratio!r},{pos!r},{neg!r}" for ratio, pos, neg in table]
-    store.write_lines(out_dir / "fig5_table.csv", ["overlap_ratio,positive_fraction,negative_fraction", *rows])
+    curve = [(p.threshold, p.tar, p.far, p.precision, p.recall) for p in points]
+    store.write_csv(out_dir / "curve.csv", curve, "threshold,tar,far,precision,recall")
+    summary = [
+        (f"tar_at_far_{cfg.eval.far_target}", tar),
+        (f"recall_at_prec_{cfg.eval.prec_target}", recall),
+        (f"coverage_{evaluate.IOU_MIN}", coverage),
+        ("roc_auc", auc),
+        ("proposals_per_image", n_prop / max(len(annotations), 1)),
+    ]
+    store.write_csv(out_dir / "summary.csv", summary, "metric,value")
+    fig5_header = "overlap_ratio,positive_fraction,negative_fraction"
+    store.write_csv(out_dir / "fig5_table.csv", table, fig5_header)
     print(
         f"tar@far={tar:.4f} recall@prec={recall:.4f} auc={auc:.4f} "
         f"coverage={coverage:.4f} -> {out_dir}"

@@ -265,13 +265,9 @@ def train(
     the face fraction clamped into the balance band. Returns the per-epoch
     mean loss trace; attaches priors built from the training proposals.
     """
+    model.priors = build_priors(labeled)  # raises DegenerateTrainingSetError unless both classes occur
     faces = [i for i, lp in enumerate(labeled) if lp.is_face]
     nonfaces = [i for i, lp in enumerate(labeled) if not lp.is_face]
-    if not faces or not nonfaces:
-        raise DegenerateTrainingSetError(
-            f"need both classes to train ({len(faces)} face, {len(nonfaces)} nonface)"
-        )
-    model.priors = build_priors(labeled)
     rows = _segment_rows(model, [lp.proposal for lp in labeled], images)
     rng = np.random.Generator(np.random.PCG64(seed))
     ratio = min(max(len(faces) / len(labeled), BALANCE_BAND[0]), BALANCE_BAND[1])

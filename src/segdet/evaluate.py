@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .errors import EvalInvariantError, NoNegativeImagesError
 from .imaging import BoxI
-from . import store
 
 IOU_MIN = 0.5  # the paper's 50% overlap rule: a box at this IoU or more matches its face
 
@@ -168,16 +167,3 @@ def check_bottleneck(points: list[CurvePoint], coverage: float) -> None:
             f"measured TAR {worst:.6f} exceeds proposal coverage bound {coverage:.6f}"
         )
 
-
-def write_curve_csv(points: list[CurvePoint], path) -> None:
-    lines = ["threshold,tar,far,precision,recall"]
-    for p in points:
-        lines.append(f"{p.threshold!r},{p.tar!r},{p.far!r},{p.precision!r},{p.recall!r}")
-    store.write_lines(path, lines)
-
-
-def write_summary_csv(metrics: list[tuple[str, float]], path) -> None:
-    lines = ["metric,value"]
-    for name, value in metrics:
-        lines.append(f"{name},{value!r}")
-    store.write_lines(path, lines)

@@ -102,15 +102,6 @@ class GrayImageF:
             raise ValueError("gray image contains non-finite samples")
 
 
-@dataclass(frozen=True)
-class IntegralImage:
-    """2-D prefix sums in double precision; data has shape (height+1, width+1)."""
-
-    width: int
-    height: int
-    data: np.ndarray
-
-
 def _read_token(buf: bytes, pos: int, path) -> tuple[bytes, int]:
     # skip whitespace and '#' comments between header tokens
     n = len(buf)
@@ -210,11 +201,11 @@ def resize_bilinear(img: GrayImageF, out_w: int, out_h: int) -> GrayImageF:
     return GrayImageF(out_w, out_h, out)
 
 
-def integral(img: GrayImageF) -> IntegralImage:
-    """Running 2-D prefix sums with a zero border row/column."""
+def integral(img: GrayImageF) -> np.ndarray:
+    """Running 2-D float64 prefix sums with a zero border row/column: (h+1, w+1)."""
     ii = np.zeros((img.height + 1, img.width + 1), dtype=np.float64)
     np.cumsum(np.cumsum(img.data, axis=0), axis=1, out=ii[1:, 1:])
-    return IntegralImage(img.width, img.height, ii)
+    return ii
 
 
 def crop(img, b: BoxI):

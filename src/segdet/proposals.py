@@ -232,26 +232,17 @@ def label_proposals(proposals: list[Proposal], truth: BoxI | None) -> list[Label
 
 
 def export_proposals(labeled_by_image: dict[str, list[LabeledProposal]], path) -> None:
-    lines = ["# image_id,cluster_id,x,y,w,h,label,overlap,k,(kind,x,y,w,h,score)*k"]
+    rows = []
     for image_id, lps in labeled_by_image.items():
         for lp in lps:
             p = lp.proposal
-            fields = [
-                image_id,
-                str(p.cluster_id),
-                str(p.box.x),
-                str(p.box.y),
-                str(p.box.w),
-                str(p.box.h),
-                "face" if lp.is_face else "nonface",
-                repr(lp.overlap),
-                str(len(p.segments)),
-            ]
+            label = "face" if lp.is_face else "nonface"
+            row = [image_id, p.cluster_id, *p.box.astuple(), label, lp.overlap, len(p.segments)]
             for kind in p.kinds():
                 d = p.segments[kind]
-                fields += [kind_name(kind), str(d.box.x), str(d.box.y), str(d.box.w), str(d.box.h), repr(d.score)]
-            lines.append(",".join(fields))
-    store.write_lines(path, lines)
+                row += [kind_name(kind), *d.box.astuple(), d.score]
+            rows.append(row)
+    store.write_csv(path, rows, "# image_id,cluster_id,x,y,w,h,label,overlap,k,(kind,x,y,w,h,score)*k")
 
 
 def import_proposals(path) -> dict[str, list[LabeledProposal]]:

@@ -1,12 +1,14 @@
 """Segdet's text files: every CSV and model file is read and written here.
 
-CSVs hold one comma-separated record per line; blank lines and lines starting
-with '#' are skipped. Model files are versioned sectioned-text containers: a
-magic first line, then `[section]` headers with `key = value` lines. Readers
-parse a record or an entry with `fields`, so every malformed input raises
-ParseError naming `path:line` or `path: [section] key`. Float arrays are
-stored either as decimal floats (space separated, repr round-trip) or as
-base64 little-endian float64 blobs for large parameter tensors.
+CSVs hold one comma-separated record per line, written by `write_csv`: text
+as it is, ints and floats by repr, so every value reads back exactly. Blank
+lines and lines starting with '#' are skipped on reading. Model files are
+versioned sectioned-text containers: a magic first line, then `[section]`
+headers with `key = value` lines. Readers parse a record or an entry with
+`fields`, so every malformed input raises ParseError naming `path:line` or
+`path: [section] key`. Float arrays are stored either as decimal floats
+(space separated, repr round-trip) or as base64 little-endian float64 blobs
+for large parameter tensors.
 """
 
 from __future__ import annotations
@@ -19,11 +21,19 @@ from itertools import repeat
 import numpy as np
 
 from .errors import MissingInputError, ModelVersionMismatchError, ParseError
+from .imaging import BoxI
 
 
 def write_lines(path, lines) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_csv(path, rows, header: str | None = None) -> None:
+    """One comma-joined line per row after an optional header line."""
+    lines = [] if header is None else [header]
+    lines.extend(",".join(v if isinstance(v, str) else repr(v) for v in row) for row in rows)
+    write_lines(path, lines)
 
 
 def _text_lines(path) -> list[str]:
@@ -61,6 +71,25 @@ def fields(values: list[str], types, where: str) -> list:
         if typ is float and not math.isfinite(value):
             raise ParseError(f"{where}: {text!r} is not finite")
         out.append(value)
+    return out
+
+
+def image_rows(path, extra=()) -> dict[str, tuple | None]:
+    """Per-image rows `image_id,x,y,w,h` plus one field per `extra` type, as
+    (box, *extras) by image id in file order. A row whose fields after the id
+    are all empty has no box (None); an id listed twice is a ParseError."""
+    types = (str, int, int, int, int, *extra)
+    out: dict[str, tuple | None] = {}
+    for where, parts in records(path):
+        if len(parts) == len(types) and not any(parts[1:]):
+            image_id, row = parts[0], None
+        else:
+            image_id, x, y, w, h, *rest = fields(parts, types, where)
+            with checked(where):
+                row = (BoxI(x, y, w, h), *rest)
+        if image_id in out:
+            raise ParseError(f"{where}: repeated image {image_id!r}")
+        out[image_id] = row
     return out
 
 

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
 from .imaging import BoxI, Image, save_image
 from . import store
 
@@ -240,26 +239,10 @@ def synth_generate(spec: SynthSpec, out_dir) -> list[Annotation]:
 
 
 def save_annotations(annotations: list[Annotation], path) -> None:
-    lines = []
-    for a in annotations:
-        if a.face is None:
-            lines.append(f"{a.path},,,,")
-        else:
-            lines.append(f"{a.path},{a.face.x},{a.face.y},{a.face.w},{a.face.h}")
-    store.write_lines(path, lines)
+    rows = [(a.path, *a.face.astuple()) if a.face else (a.path, "", "", "", "") for a in annotations]
+    store.write_csv(path, rows)
 
 
 def load_annotations(path) -> list[Annotation]:
     """Annotations in file order; a frame listed twice is a ParseError."""
-    annotations = {}
-    for where, parts in store.records(path):
-        if len(parts) == 5 and not any(parts[1:]):
-            p, face = parts[0], None
-        else:
-            p, x, y, w, h = store.fields(parts, (str, int, int, int, int), where)
-            with store.checked(where):
-                face = BoxI(x, y, w, h)
-        if p in annotations:
-            raise ParseError(f"{where}: repeated image {p!r}")
-        annotations[p] = Annotation(p, face)
-    return list(annotations.values())
+    return [Annotation(p, row[0] if row else None) for p, row in store.image_rows(path).items()]

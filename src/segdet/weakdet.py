@@ -181,7 +181,7 @@ def train_boosted(
     rng = np.random.Generator(np.random.PCG64(seed))
     features = _sample_features(rng, win_w, win_h, pool_size)
     patches = positives + negatives
-    ii_stack = np.stack([integral(p).data for p in patches])
+    ii_stack = np.stack([integral(p) for p in patches])
     n = len(patches)
     y = np.zeros(n, dtype=np.float64)
     y[: len(positives)] = 1.0
@@ -369,7 +369,7 @@ def detect_segments(
     for s in scales:
         out_w = max(1, int(round(img.width / s)))
         out_h = max(1, int(round(img.height / s)))
-        rungs.append((out_w, out_h, integral(resize_bilinear(img, out_w, out_h)).data))
+        rungs.append((out_w, out_h, integral(resize_bilinear(img, out_w, out_h))))
     hits: list[SegmentDetection] = []
     for blocks in _canvases([(w, h) for w, h, _ in rungs], stride):
         last, x_last = blocks[-1]
@@ -422,14 +422,8 @@ def detect_segments(
 
 
 def export_detections(dets_by_image: dict[str, list[SegmentDetection]], path) -> None:
-    lines = ["# image_id,kind,x,y,w,h,score"]
-    for image_id, dets in dets_by_image.items():
-        for d in dets:
-            lines.append(
-                f"{image_id},{kind_name(d.kind)},{d.box.x},{d.box.y},"
-                f"{d.box.w},{d.box.h},{d.score!r}"
-            )
-    store.write_lines(path, lines)
+    rows = [(i, kind_name(d.kind), *d.box.astuple(), d.score) for i, ds in dets_by_image.items() for d in ds]
+    store.write_csv(path, rows, "# image_id,kind,x,y,w,h,score")
 
 
 def import_detections(path) -> dict[str, list[SegmentDetection]]:
@@ -494,8 +488,9 @@ def load_detectors(path) -> list[BoostedDetector]:
     """Read a weak-model file, rejecting any stump the scan cannot evaluate.
 
     The scan reads corners without bounds checks, so every rect must lie
-    inside its window and split evenly by its Haar kind; any other defect
-    raises ParseError naming the path, section and key.
+    inside its window and split evenly by its Haar kind. Keys other than
+    window, accept_threshold, stump_count and stump0..stump{count-1} are
+    rejected. Any defect raises ParseError naming the path, section and key.
     """
     detectors = []
     for name, entries in store.read_sections(path, WEAK_MAGIC).items():
@@ -511,5 +506,9 @@ def load_detectors(path) -> list[BoostedDetector]:
         if count < 0:
             raise ParseError(f"{where} stump_count: must be nonnegative, got {count}")
         stumps = [_stump(entries, f"stump{i}", win_w, win_h, where) for i in range(count)]
+        known = {"window", "accept_threshold", "stump_count", *(f"stump{i}" for i in range(count))}
+        unknown = [key for key in entries if key not in known]
+        if unknown:
+            raise ParseError(f"{where} {unknown[0]}: unknown key (stump_count = {count})")
         detectors.append(BoostedDetector(kind, win_w, win_h, stumps, accept))
     return detectors

@@ -3,7 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from segdet import cli, store
+from segdet import cli, proposals as props, store
 from segdet import deepsegface as dsf
 from segdet.config import _KEY_ALIASES, _SECTIONS, RunConfig, parse_config, validate_config
 from segdet.errors import ConfigError
@@ -229,6 +229,24 @@ class TestCliExitCodes:
         assert cli.main(["eval", "--config", str(p)]) == 4
         err = capsys.readouterr().err
         assert str(faces) in err and "images/b.pgm" in err and "Traceback" not in err
+
+    def test_faces_file_with_an_image_outside_the_split_exit_code(self, tmp_path, capsys):
+        # a faces file from another split or a stale run must not evaluate as this run's
+        p = tmp_path / "run.cfg"
+        p.write_text("seed = 1\n")
+        ann = tmp_path / "data/test/annotations.csv"
+        ann.parent.mkdir(parents=True)
+        ann.write_text("images/a.pgm,1,2,30,40\nimages/b.pgm,,,,\nimages/c.pgm,,,,\n")
+        faces = tmp_path / "reports/faces_deepsegface_test.csv"
+        faces.parent.mkdir(parents=True)
+        cli.save_faces([(f"images/{c}.pgm", None) for c in "abc"], faces)
+        props.export_proposals({}, tmp_path / "reports/proposals_test.csv")
+        assert cli.main(["eval", "--config", str(p)]) == 0
+        with faces.open("a") as fh:
+            fh.write("img_zzz.pgm,1,2,30,40,0.99\n")
+        assert cli.main(["eval", "--config", str(p)]) == 4
+        err = capsys.readouterr().err
+        assert str(faces) in err and "img_zzz.pgm" in err and "(1 extra)" in err and "Traceback" not in err
 
     def test_out_option_is_a_usage_error(self, tmp_path, capsys):
         p = tmp_path / "run.cfg"

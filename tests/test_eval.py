@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segdet import store
 from segdet.errors import EvalInvariantError, NoNegativeImagesError
 from segdet.evaluate import (
     IOU_MIN,
@@ -18,8 +19,6 @@ from segdet.evaluate import (
     roc_auc,
     roc_curve,
     tar_at_far,
-    write_curve_csv,
-    write_summary_csv,
 )
 from segdet.imaging import BoxI
 from segdet.proposals import label_proposals
@@ -267,9 +266,10 @@ def test_one_overlap_rule(h, match):
 
 def test_csv_writers(tmp_path):
     pts = [CurvePoint(math.inf, 0.0, 0.0, 1.0, 0.0), CurvePoint(0.5, 0.75, 0.25, 0.8, 0.75)]
-    write_curve_csv(pts, tmp_path / "curve.csv")
+    rows = [(p.threshold, p.tar, p.far, p.precision, p.recall) for p in pts]
+    store.write_csv(tmp_path / "curve.csv", rows, "threshold,tar,far,precision,recall")
     lines = (tmp_path / "curve.csv").read_text().splitlines()
     assert lines[0] == "threshold,tar,far,precision,recall"
     assert lines[2].startswith("0.5,0.75,0.25,0.8,0.75")
-    write_summary_csv([("tar_at_far_0.01", 0.5)], tmp_path / "summary.csv")
+    store.write_csv(tmp_path / "summary.csv", [("tar_at_far_0.01", 0.5)], "metric,value")
     assert (tmp_path / "summary.csv").read_text() == "metric,value\ntar_at_far_0.01,0.5\n"

@@ -167,8 +167,7 @@ class TestResize:
 def box_sum(ii, b: BoxI) -> float:
     """Sum of the samples inside b by four-corner lookup: the identity an
     integral image must satisfy."""
-    d = ii.data
-    return float(d[b.y2, b.x2] - d[b.y, b.x2] - d[b.y2, b.x] + d[b.y, b.x])
+    return float(ii[b.y2, b.x2] - ii[b.y, b.x2] - ii[b.y2, b.x] + ii[b.y, b.x])
 
 
 class TestIntegral:
@@ -191,7 +190,7 @@ class TestIntegral:
             assert box_sum(ii, BoxI(int(x), int(y), w, h)) == pytest.approx(naive, abs=1e-9)
 
     def test_monotone_for_nonnegative(self, rng):
-        ii = integral(gray(rng.uniform(0, 1, (6, 9)))).data
+        ii = integral(gray(rng.uniform(0, 1, (6, 9))))
         assert np.all(np.diff(ii, axis=0) >= 0)
         assert np.all(np.diff(ii, axis=1) >= 0)
 

@@ -3,7 +3,8 @@
 The four CSV readers and the config parser get arbitrary bytes; the model
 readers get mutations of a valid file (a dropped line, a value or key
 replaced by arbitrary text, a line replaced by arbitrary bytes, or a
-truncation). The CLI cases check that such input exits 4, not a traceback.
+truncation). The CLI cases check that such input exits 4, not a traceback,
+and every value `store.write_csv` writes reads back equal.
 """
 
 import re
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from segdet import cli, deepsegface as dsf, proposals, segface, synth, weakdet
+from segdet import cli, deepsegface as dsf, proposals, segface, store, synth, weakdet
 from segdet.config import parse_config
 from segdet.errors import ParseError, SegdetError
 from segdet.imaging import BoxI
@@ -73,6 +74,29 @@ def test_csv_reader_rejects_a_repeated_image(tmp_path, reader, text):
     path.write_text(text)
     with pytest.raises(ParseError, match=rf"{reader}\.csv:3: repeated image 'a\.pgm'"):
         CSV_READERS[reader](path)
+
+
+# ids as the readers see them: no comma or line break, and no whitespace at the ends that strip() drops
+csv_ids = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp"), blacklist_characters=",")).filter(
+    lambda t: t == t.strip() and not t.startswith("#")
+)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+csv_rows = st.lists(
+    st.tuples(csv_ids, st.lists(st.integers(), min_size=1, max_size=3), st.lists(finite, max_size=3)), max_size=5
+)
+
+
+@FUZZ
+@given(rows=csv_rows)
+def test_write_csv_values_read_back_equal(tmp_path, rows):
+    # text as it is and numbers by repr: what write_csv writes, records and fields read back exactly
+    path = tmp_path / "rows.csv"
+    store.write_csv(path, [(i, *ints, *floats) for i, ints, floats in rows], "# id,ints,floats")
+    back = list(store.records(path))
+    assert len(back) == len(rows)
+    for (where, parts), (i, ints, floats) in zip(back, rows):
+        types = (str, *[int] * len(ints), *[float] * len(floats))
+        assert store.fields(parts, types, where) == [i, *ints, *floats]
 
 
 def _weak_model(path):
@@ -196,6 +220,24 @@ def test_model_reader_rejects_a_repeated_key(tmp_path, model, line):
     (tmp_path / "m.txt").write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match=rf"m\.txt:{at + 2}: repeated key '{key}' in \["):
         read(tmp_path / "m.txt")
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        # a stump line past stump_count used to be dropped without a word
+        ("stump_count = 2", "stump_count = 1", "stump1"),
+        # a misspelt key next to the real one used to be ignored
+        ("accept_threshold = 0.625", "accept_threshold = 0.625\naccept_treshold = 0.5", "accept_treshold"),
+    ],
+)
+def test_weak_reader_rejects_an_unknown_key(tmp_path, old, new, key):
+    _weak_model(tmp_path / "m.txt")
+    text = (tmp_path / "m.txt").read_text()
+    assert old in text
+    (tmp_path / "m.txt").write_text(text.replace(old, new, 1))
+    with pytest.raises(ParseError, match=rf"m\.txt: \[detector kind=Eye\] {key}: unknown key"):
+        weakdet.load_detectors(tmp_path / "m.txt")
 
 
 def test_layout_section_checks(tmp_path):

@@ -56,7 +56,7 @@ def _patch_feature_values(feature, ii_stack):
 def score_patch(det, patch):
     """Raw boosted score of one window-sized patch."""
     assert patch.data.shape == (det.window_h, det.window_w)
-    ii = integral(patch).data[None, :, :]
+    ii = integral(patch)[None, :, :]
     score = 0.0
     for s in det.stumps:
         v = _patch_feature_values(s.feature, ii)[0]
@@ -138,7 +138,7 @@ def _reference_train_boosted(kind, positives, negatives, rounds, seed=0, pool_si
     rng = np.random.Generator(np.random.PCG64(seed))
     features = _sample_features(rng, win_w, win_h, pool_size)
     patches = positives + negatives
-    ii_stack = np.stack([integral(p).data for p in patches])
+    ii_stack = np.stack([integral(p) for p in patches])
     n = len(patches)
     y = np.zeros(n, dtype=np.float64)
     y[: len(positives)] = 1.0
@@ -257,7 +257,7 @@ class TestBoosterOracle:
         # what each case is there to exercise
         win_h, win_w = pos[0].data.shape
         features = _sample_features(np.random.Generator(np.random.PCG64(seed)), win_w, win_h, pool_size)
-        ii = np.stack([integral(p).data for p in pos + neg])
+        ii = np.stack([integral(p) for p in pos + neg])
         table = [tuple(_patch_feature_values(f, ii).tolist()) for f in features]
         if name == "repeated_values":
             assert any(len(set(row)) < len(row) for row in table)
@@ -284,7 +284,7 @@ class TestBoosterOracle:
 
     def test_feature_table_matches_per_feature_reference(self):
         rng = np.random.default_rng(12)
-        ii = np.stack([integral(gray(rng.uniform(0, 1, (9, 13)))).data for _ in range(17)])
+        ii = np.stack([integral(gray(rng.uniform(0, 1, (9, 13)))) for _ in range(17)])
         features = _sample_features(np.random.Generator(np.random.PCG64(4)), 13, 9, 300)
         assert {f.kind for f in features} == {HAAR_TWO_H, HAAR_TWO_V, HAAR_THREE_H}
         table = _feature_values_on_patches(features, ii)
@@ -427,7 +427,7 @@ class TestScanExactness:
         ]
         for width, height in sizes:
             img = gray(rng.uniform(0.0, 1.0, (height, width)))
-            ii = integral(resize_bilinear(img, width, height)).data
+            ii = integral(resize_bilinear(img, width, height))
             for det in dets:
                 if width < det.window_w or height < det.window_h:
                     continue

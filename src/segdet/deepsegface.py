@@ -207,7 +207,7 @@ def _backward_batch(model: DeepSegFaceModel, state: _BatchState, grad_logits: np
         g_rows = np.zeros((len(acts[-1]), fsize), dtype=grad_concat.dtype)
         np.add.at(g_rows, state.row_of[kind], grad_concat[:, offset : offset + fsize])
         offset += fsize
-        pgrads, _ = backward(model.columns[kind], acts, g_rows.reshape(acts[-1].shape))
+        pgrads, _ = backward(model.columns[kind], acts, g_rows.reshape(acts[-1].shape), input_grad=False)
         grads.extend(g for layer_g in pgrads for g in layer_g)
     grads.extend(g for layer_g in head_grads for g in layer_g)
     return grads

@@ -41,51 +41,75 @@ class Conv2D:
     def params(self):
         return [self.weight, self.bias]
 
+    def _grid(self, h, w):
+        """(rows, wp, top, shifts) of the flat padded grid that `forward`'s
+        im2col and the input gradient's col2im use. Per channel, the batch's
+        images lie end to end, zero-padded with the input at (top, top) plus
+        one spare zero row: `rows` rows of `wp`. Output (n, r, c) is grid column
+        (n*rows + r)*wp + c, and tap (i, j) reads shifts[i*k + j] = i*wp + j
+        columns on, so each tap's im2col row is one contiguous slice; columns
+        in the padding are computed and cropped. The spare row changes no
+        value, but with it the products round as the row-major im2col's did on
+        the toy network, which the tests pin."""
+        pad = 0 if self.padding == "valid" else self.k - 1
+        wp = w + pad
+        return h + pad + 1, wp, pad // 2, [i * wp + j for i in range(self.k) for j in range(self.k)]
+
+    # The weight gradient keeps the row-major (positions, in_c*k*k) im2col:
+    # its products round by that layout, and the model bytes with them.
     def _pad(self, x):
         if self.padding == "valid" or self.k == 1:
-            return x, (0, 0)
+            return x
         top = (self.k - 1) // 2
         bot = self.k - 1 - top
-        return np.pad(x, ((0, 0), (0, 0), (top, bot), (top, bot))), (top, bot)
+        return np.pad(x, ((0, 0), (0, 0), (top, bot), (top, bot)))
 
     def _cols(self, xp):
         n, c, hp, wp = xp.shape
         oh, ow = hp - self.k + 1, wp - self.k + 1
         win = np.lib.stride_tricks.sliding_window_view(xp, (self.k, self.k), axis=(2, 3))
         # (n, c, oh, ow, k, k) -> (n*oh*ow, c*k*k)
-        cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * self.k * self.k)
-        return cols, oh, ow
+        return win.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * self.k * self.k)
 
     def forward(self, x):
         if x.ndim != 4 or x.shape[1] != self.in_c:
             raise ShapeMismatchError(
                 f"conv expects (N,{self.in_c},H,W), got {x.shape}"
             )
-        xp, _ = self._pad(x)
-        cols, oh, ow = self._cols(xp)
-        wm = self.weight.reshape(self.out_c, -1).T
-        out = cols @ wm + self.bias
-        return out.reshape(x.shape[0], oh, ow, self.out_c).transpose(0, 3, 1, 2)
+        n, c, h, w = x.shape
+        rows, wp, top, shifts = self._grid(h, w)
+        size = n * rows * wp
+        # the zero tail keeps the last tap's slice `size` long
+        flat = np.zeros((c, size + shifts[-1]), dtype=x.dtype)
+        flat[:, :size].reshape(c, n, rows, wp)[:, :, top : top + h, top : top + w] = x.transpose(1, 0, 2, 3)
+        cols = np.empty((c, len(shifts), size), dtype=x.dtype)
+        for t, s in enumerate(shifts):
+            cols[:, t] = flat[:, s : s + size]
+        out = self.weight.reshape(self.out_c, -1) @ cols.reshape(-1, size) + self.bias[:, None]
+        out = out.reshape(self.out_c, n, rows, wp)[:, :, : rows - self.k, : wp - self.k + 1]
+        # C-contiguous NCHW: backward's reductions follow grad_out's memory layout
+        return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
 
-    def backward(self, x, grad_out):
-        n = x.shape[0]
-        xp, (top, _) = self._pad(x)
-        cols, oh, ow = self._cols(xp)
+    def backward(self, x, grad_out, input_grad=True):
+        """(grad_in, [grad_weight, grad_bias]); grad_in is None unless `input_grad`."""
+        n, c, h, w = x.shape
+        cols = self._cols(self._pad(x))
+        oh, ow = grad_out.shape[2:]
         g = grad_out.transpose(0, 2, 3, 1).reshape(n * oh * ow, self.out_c)
         gw = (cols.T @ g).T.reshape(self.weight.shape)
         gb = g.sum(axis=0)
-        gcols = g @ self.weight.reshape(self.out_c, -1)
-        gcols = gcols.reshape(n, oh, ow, self.in_c, self.k, self.k).transpose(0, 3, 1, 2, 4, 5)
-        gxp = np.zeros_like(xp)
-        for i in range(self.k):
-            for j in range(self.k):
-                gxp[:, :, i : i + oh, j : j + ow] += gcols[:, :, :, :, i, j]
-        h, w = x.shape[2], x.shape[3]
-        if self.padding == "same" and self.k > 1:
-            gx = gxp[:, :, top : top + h, top : top + w]
-        else:
-            gx = gxp
-        return gx, [gw, gb]
+        if not input_grad:
+            return None, [gw, gb]
+        rows, wp, top, shifts = self._grid(h, w)
+        size = n * rows * wp
+        g_grid = np.zeros((self.out_c, n, rows, wp), dtype=grad_out.dtype)
+        g_grid[:, :, :oh, :ow] = grad_out.transpose(1, 0, 2, 3)
+        gcols = (self.weight.reshape(self.out_c, -1).T @ g_grid.reshape(self.out_c, size)).reshape(c, len(shifts), size)
+        gflat = np.zeros((c, size + shifts[-1]), dtype=x.dtype)
+        for t, s in enumerate(shifts):
+            gflat[:, s : s + size] += gcols[:, t]
+        gx = gflat[:, :size].reshape(c, n, rows, wp)[:, :, top : top + h, top : top + w]
+        return np.ascontiguousarray(gx.transpose(1, 0, 2, 3)), [gw, gb]
 
 
 class ReLU:
@@ -121,18 +145,19 @@ class MaxPool2:
         return np.maximum(rows[:, :, :, 0::2], rows[:, :, :, 1::2])
 
     def backward(self, x, grad_out):
+        n, c = x.shape[:2]
         h2, w2 = x.shape[2] // 2, x.shape[3] // 2
         a = x[:, :, : h2 * 2 : 2, : w2 * 2]
         b = x[:, :, 1 : h2 * 2 : 2, : w2 * 2]
-        row_first = a >= b
         rows = np.maximum(a, b)
-        col_first = rows[:, :, :, 0::2] >= rows[:, :, :, 1::2]
-        grows = np.zeros_like(rows)
-        grows[:, :, :, 0::2] = np.where(col_first, grad_out, 0.0)
-        grows[:, :, :, 1::2] = np.where(col_first, 0.0, grad_out)
+        # per axis, which of its two inputs each max took (the first on ties);
+        # the row is read at the column that won. Every other input gets zero.
+        col = ~(rows[:, :, :, 0::2] >= rows[:, :, :, 1::2])
+        row = ~(a >= b)
+        row = np.where(col, row[:, :, :, 1::2], row[:, :, :, 0::2])
         gx = np.zeros_like(x)
-        gx[:, :, : h2 * 2 : 2, : w2 * 2] = np.where(row_first, grows, 0.0)
-        gx[:, :, 1 : h2 * 2 : 2, : w2 * 2] = np.where(row_first, 0.0, grows)
+        i, j, r, q = np.ogrid[:n, :c, :h2, :w2]
+        gx[i, j, 2 * r + row, 2 * q + col] = grad_out
         return gx, []
 
 
@@ -203,17 +228,20 @@ def forward(layers, x) -> list[np.ndarray]:
     return acts
 
 
-def backward(layers, acts, grad_out):
+def backward(layers, acts, grad_out, input_grad=True):
     """Gradients of a scalar loss w.r.t. every parameter and the input.
 
     Returns (param_grads, grad_in) where param_grads[i] aligns with
-    layers[i].params().
+    layers[i].params(). With `input_grad` false the first layer, which must
+    then be a Conv2D, skips its input gradient and grad_in is None.
     """
     param_grads: list[list[np.ndarray]] = [[] for _ in layers]
     g = grad_out
     for i in range(len(layers) - 1, -1, -1):
-        g, pg = layers[i].backward(acts[i], g)
-        param_grads[i] = pg
+        if i or input_grad:
+            g, param_grads[i] = layers[i].backward(acts[i], g)
+        else:
+            g, param_grads[i] = layers[i].backward(acts[i], g, input_grad=False)
     return param_grads, g
 
 

@@ -2,13 +2,13 @@
 
 CSVs hold one comma-separated record per line, written by `write_csv`: text
 as it is, ints and floats by repr, so every value reads back exactly. Blank
-lines and lines starting with '#' are skipped on reading. Model files are
-versioned sectioned-text containers: a magic first line, then `[section]`
-headers with `key = value` lines. Readers parse a record or an entry with
-`fields`, so every malformed input raises ParseError naming `path:line` or
-`path: [section] key`. Float arrays are stored either as decimal floats
-(space separated, repr round-trip) or as base64 little-endian float64 blobs
-for large parameter tensors.
+lines and lines whose first non-blank character is '#' are skipped on
+reading. Model files are versioned sectioned-text containers: a magic first
+line, then `[section]` headers with `key = value` lines. Readers parse a
+record or an entry with `fields`, so every malformed input raises ParseError
+naming `path:line` or `path: [section] key`. Float arrays are stored either
+as decimal floats (space separated, repr round-trip) or as base64
+little-endian float64 blobs for large parameter tensors.
 """
 
 from __future__ import annotations
@@ -47,10 +47,11 @@ def _text_lines(path) -> list[str]:
 
 
 def records(path):
-    """(where, fields) for each record of a CSV, where is `path:line`."""
+    """(where, fields) for each record of a CSV, where is `path:line`. Values
+    keep their whitespace, so every text value reads back as written."""
     for lineno, line in enumerate(_text_lines(path), start=1):
-        line = line.strip()
-        if line and not line.startswith("#"):
+        head = line.lstrip()
+        if head and not head.startswith("#"):
             yield f"{path}:{lineno}", line.split(",")
 
 

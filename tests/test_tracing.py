@@ -6,8 +6,9 @@ import importlib
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from segdet import deepsegface as dsf, segface, weakdet
+from segdet import deepsegface as dsf, neuralnet, segface, weakdet
 from segdet.config import parse_config
 from segdet.imaging import BoxI
 from segdet.priors import build_priors
@@ -38,6 +39,24 @@ def test_benchmark_configs_parse(monkeypatch, tmp_path):
     run = workload.Run(tmp_path, "train", 1)
     assert run.cfg.net.epochs == workload.EPOCHS
     assert parse_config(tmp_path / "weak.cfg").paths.data == "data_weak"
+
+
+def test_traced_conv_counts_its_flops(monkeypatch):
+    """`_conv_flops` reads the forward's input as NCHW: one same-padded 3x3
+    conv counts 2*N*H*W*out_c*in_c*k*k forward and twice that backward."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    n, in_c, h, w, out_c, k = 2, 3, 5, 7, 4, 3
+    rng = np.random.default_rng(0)
+    conv = neuralnet.Conv2D(in_c, out_c, k, "same", rng=rng)
+    x = rng.normal(size=(n, in_c, h, w))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        conv.backward(x, conv.forward(x))
+    flops = 2 * n * h * w * out_c * in_c * k * k * 1e-9
+    metrics = tracer.layer_metrics()
+    assert metrics["neuralnet.conv_fwd_gflop"] == pytest.approx(flops, rel=1e-12)
+    assert metrics["neuralnet.conv_bwd_gflop"] == pytest.approx(2 * flops, rel=1e-12)
 
 
 def _scan_args():

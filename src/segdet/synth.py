@@ -12,6 +12,7 @@ visible (frame-clipped) face box; no-face images get background only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,8 +43,8 @@ class SynthSpec:
         for name in ("count", "width", "height"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.noise >= 0.0:
-            raise ValueError(f"noise must be >= 0, got {self.noise}")
+        if not 0.0 <= self.noise < math.inf:
+            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
         for name in (
             "face_min",
             "face_max",
@@ -59,6 +60,15 @@ class SynthSpec:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
         if self.face_min > self.face_max:
             raise ValueError("face_min must not exceed face_max")
+        # the smallest decoy and face must keep a nonzero width, and dw = int(dh * 0.95)
+        # and fw = int(fh * 0.95) need dh = int(0.35 * height) >= 2 and fh >= 2
+        if self.decoy_prob > 0 and self.height < 6:
+            raise ValueError(f"height must be >= 6 when decoy_prob > 0, got {self.height}")
+        if self.face_min * self.height < 2:
+            raise ValueError(f"face_min * height must be >= 2 px, got {self.face_min} * {self.height}")
+        # a shifted face moves by uniform(0.05, max_shift) of its size
+        if 0.0 < self.max_shift < 0.05:
+            raise ValueError(f"max_shift must be 0 or >= 0.05, got {self.max_shift}")
 
 
 @dataclass(frozen=True)
@@ -82,13 +92,25 @@ def _ellipse_mask(xx, yy, cx, cy, rx, ry):
     return ((xx - cx) / rx) ** 2 + ((yy - cy) / ry) ** 2 <= 1.0
 
 
+def _box_grid(canvas: np.ndarray, x0: int, y0: int, x1: int, y1: int):
+    """The canvas view over [x0, x1) x [y0, y1), widened by 2 px (rounding at a
+    shape's edge drops no pixel) and clipped to the frame, with float pixel
+    coordinates that broadcast: rows as a column, columns as a row."""
+    h, w = canvas.shape
+    r0, r1 = max(y0 - 2, 0), min(y1 + 2, h)
+    c0, c1 = max(x0 - 2, 0), min(x1 + 2, w)
+    yy = np.arange(r0, r1, dtype=np.float64)[:, None]
+    xx = np.arange(c0, c1, dtype=np.float64)
+    return canvas[r0:r1, c0:c1], yy, xx
+
+
 def _draw_face(canvas: np.ndarray, face: BoxI, rng: np.random.Generator, glasses_prob: float) -> None:
     """Parametric cartoon face. Internal feature positions are jittered per
     face to emulate pose variation, and a fraction of faces wear a dark
     sunglasses band (a second appearance mode for the eye region); draw
-    order and rng usage are fixed."""
-    h, w = canvas.shape
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    order and rng usage are fixed. Every feature lies inside the face box,
+    so only that box is drawn."""
+    box, yy, xx = _box_grid(canvas, face.x, face.y, face.x2, face.y2)
     fx, fy, fw, fh = float(face.x), float(face.y), float(face.w), float(face.h)
 
     def at(u, v):
@@ -105,30 +127,30 @@ def _draw_face(canvas: np.ndarray, face: BoxI, rng: np.random.Generator, glasses
     glasses = rng.uniform() < glasses_prob
 
     cx, cy = at(0.5, 0.5)
-    canvas[_ellipse_mask(xx, yy, cx, cy, 0.5 * fw, 0.5 * fh)] = skin
+    box[_ellipse_mask(xx, yy, cx, cy, 0.5 * fw, 0.5 * fh)] = skin
     # brows
     for u0, u1 in ((0.18, 0.44), (0.56, 0.82)):
         bx0, by0 = at(u0 + eye_du, eye_v - 0.12)
         bx1, by1 = at(u1 + eye_du, eye_v - 0.07)
-        canvas[(xx >= bx0) & (xx < bx1) & (yy >= by0) & (yy < by1)] = 0.30
+        box[(xx >= bx0) & (xx < bx1) & (yy >= by0) & (yy < by1)] = 0.30
     if glasses:
         gx0, gy0 = at(0.16 + eye_du, eye_v - 0.055)
         gx1, gy1 = at(0.84 + eye_du, eye_v + 0.055)
-        canvas[(xx >= gx0) & (xx < gx1) & (yy >= gy0) & (yy < gy1)] = 0.14
+        box[(xx >= gx0) & (xx < gx1) & (yy >= gy0) & (yy < gy1)] = 0.14
     else:
         for u in (0.32, 0.68):
             ex, ey = at(u + eye_du, eye_v)
-            canvas[_ellipse_mask(xx, yy, ex, ey, eye_r, 0.8 * eye_r)] = eye_shade
+            box[_ellipse_mask(xx, yy, ex, ey, eye_r, 0.8 * eye_r)] = eye_shade
     # nose wedge: widens linearly toward its base
     nx0, ny0 = at(0.5 + eye_du / 2.0, 0.42 + nose_v)
     _, ny1 = at(0.5, 0.68 + nose_v)
     span = max(ny1 - ny0, 1.0)
     half = 0.09 * fw * np.clip((yy - ny0) / span, 0.0, 1.0)
-    canvas[(yy >= ny0) & (yy < ny1) & (np.abs(xx - nx0) <= half)] = 0.38
+    box[(yy >= ny0) & (yy < ny1) & (np.abs(xx - nx0) <= half)] = 0.38
     # mouth
     mx0, my0 = at(0.5 - mouth_halfw, mouth_v)
     mx1, my1 = at(0.5 + mouth_halfw, mouth_v + 0.07)
-    canvas[(xx >= mx0) & (xx < mx1) & (yy >= my0) & (yy < my1)] = 0.18
+    box[(xx >= mx0) & (xx < mx1) & (yy >= my0) & (yy < my1)] = 0.18
 
 
 def _draw_occluder(canvas: np.ndarray, face: BoxI, rng: np.random.Generator) -> None:
@@ -160,16 +182,15 @@ def _draw_decoy(canvas: np.ndarray, spec: SynthSpec, rng: np.random.Generator) -
     dw = int(dh * rng.uniform(0.95, 1.05))
     dx = int(rng.uniform(0, max(w - dw, 1)))
     dy = int(rng.uniform(0, max(h - dh, 1)))
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    box, yy, xx = _box_grid(canvas, dx, dy, dx + dw, dy + dh)
     cx, cy = dx + dw / 2.0, dy + dh / 2.0
-    canvas[_ellipse_mask(xx, yy, cx, cy, dw / 2.0, dh / 2.0)] = 0.78 + rng.uniform(-0.03, 0.03)
+    box[_ellipse_mask(xx, yy, cx, cy, dw / 2.0, dh / 2.0)] = 0.78 + rng.uniform(-0.03, 0.03)
     r = 0.06 * dw
     for u in (0.32, 0.68):
         ex, ey = dx + u * dw, dy + 0.34 * dh
-        canvas[_ellipse_mask(xx, yy, ex, ey, r, 0.8 * r)] = 0.97
-    bar = (yy >= dy + 0.76 * dh) & (yy < dy + 0.83 * dh)
-    bar &= (xx >= dx + 0.32 * dw) & (xx < dx + 0.68 * dw)
-    canvas[bar] = 0.96
+        box[_ellipse_mask(xx, yy, ex, ey, r, 0.8 * r)] = 0.97
+    rows = (yy >= dy + 0.76 * dh) & (yy < dy + 0.83 * dh)
+    box[rows & (xx >= dx + 0.32 * dw) & (xx < dx + 0.68 * dw)] = 0.96
 
 
 def _background(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:

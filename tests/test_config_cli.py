@@ -87,6 +87,9 @@ class TestConfig:
             ("weak.stride", "100000"),
             ("hog.cell", "12"),
             ("segments.layout.Nose", "0.3 0.35 0.7 0.75 12 12"),
+            ("synth.noise", "inf"),
+            ("synth.face_min", "0"),
+            ("synth.height", "5"),
         ],
         ids=[
             "zeta", "scale_min_zero", "scale_min_negative", "width", "height", "noise",
@@ -96,6 +99,7 @@ class TestConfig:
             "nms_iou_nan", "nms_iou_negative", "nms_iou_above_one",
             "negatives_per_image_zero", "negatives_per_image_negative",
             "stride_above_eight", "stride_huge", "hog_cell_above_eye_patch", "nose_patch_below_hog_block",
+            "noise_inf", "face_min_under_two_px", "height_under_decoy_minimum",
         ],
     )
     def test_range_violation_names_field(self, tmp_path, key, value):
@@ -170,6 +174,14 @@ class TestCliExitCodes:
         assert cli.main(["synth", "--config", str(p)]) == 2
         err = capsys.readouterr().err
         assert "synth.width" in err and "Traceback" not in err
+
+    def test_zero_pixel_faces_exit_code(self, tmp_path, capsys):
+        # a face under 2 px tall would round to zero width and divide by zero
+        p = tmp_path / "run.cfg"
+        p.write_text("synth.face_min = 0.0\n")
+        assert cli.main(["validate-config", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "synth.face_min" in err and "Traceback" not in err
 
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["validate-config", "--config", str(tmp_path / "none.cfg")]) == 2

@@ -52,11 +52,12 @@ def test_run_pipeline_digests_equal_across_workdirs(tmp_path):
         out = run_script("run_pipeline.py", "--workdir", str(tmp_path / name), "--train", "30", "--test", "15", "--skip-deep")
         assert out.returncode == 0, out.stderr
         lines = out.stdout.splitlines()
-        listings.append(lines[lines.index("sha256 of models/ and reports/:") + 1 :])
+        listings.append(lines[lines.index("sha256 of data/, models/ and reports/:") + 1 :])
     a, b = listings
     assert a == b
     paths = [line.split("  ", 1)[1] for line in a]
     assert "models/weakdet.txt" in paths and paths == sorted(paths)
+    assert "data/train/annotations.csv" in paths and "data/test/images/img_00000.pgm" in paths
     assert all(len(line.split("  ", 1)[0]) == 64 for line in a)
     for rel, read, write in CSV_FORMATS:
         again = tmp_path / "again.csv"
